@@ -40,7 +40,7 @@ p = (0.3, 0.6)
 kp = 0.5 * tg.interpolate(s, p)
 print(f"K({p}) = {kp:+.6f}")
 for side in (0.1, 0.05, 0.025):
-    th = frame_transport(g, Loop.square(p, side), 1e-3)
+    th = frame_transport(g, Loop.square(p, side))
     rect = (p[0] - side / 2, p[0] + side / 2, p[1] - side / 2, p[1] + side / 2)
     area = tg.region_integral(g.volume.density, rect, order=24)
     print(f"  side {side:6.3f}: theta/area = {th / area:+.6f}")

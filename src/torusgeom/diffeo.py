@@ -20,12 +20,13 @@ from .fields import (
     ScalarField,
     SymTensor2,
     VectorField,
+    _grad_raw,
+    _partial_raw,
     partial,
 )
 from .riemann import (
     Metric,
     VolumeForm,
-    _grad_raw,
     cov_deriv_vector,
     covariant_divergence,
     metric_lie_derivative,
@@ -65,8 +66,6 @@ class DivFreeField:
 
     def closedness_residual(self) -> float:
         """sup |d(X . mu)|; zero up to the spectral commutator."""
-        from .riemann import _partial_raw
-
         d = _partial_raw(self._flux[1], 1) - _partial_raw(self._flux[0], 2)
         return float(np.max(np.abs(d)))
 

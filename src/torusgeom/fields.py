@@ -253,6 +253,21 @@ class TwoForm:
         return self.c12.grid
 
 
+def _partial_raw(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral partial of a stacked array (..., n, n) along x (1) or y (2)."""
+    n = arr.shape[-1]
+    ik = 2j * np.pi * np.fft.fftfreq(n) * n
+    ik[n // 2] = 0.0
+    spec = np.fft.fft2(arr)
+    spec *= ik[:, None] if axis == 1 else ik[None, :]
+    return np.fft.ifft2(spec).real
+
+
+def _grad_raw(arr: np.ndarray) -> np.ndarray:
+    """Stack (d_1, d_2) of a stacked array; derivative index first."""
+    return np.stack([_partial_raw(arr, 1), _partial_raw(arr, 2)])
+
+
 def partial(f: ScalarField, axis: int) -> ScalarField:
     """Spectral partial derivative along axis 1 (x) or 2 (y).
 
@@ -261,27 +276,13 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    n = f.grid.n
-    ik = 2j * np.pi * np.fft.fftfreq(n) * n
-    ik[n // 2] = 0.0
-    spec = np.fft.fft2(f.values)
-    spec *= ik[:, None] if axis == 1 else ik[None, :]
-    return ScalarField(f.grid, np.fft.ifft2(spec).real)
+    return ScalarField(f.grid, _partial_raw(f.values, axis))
 
 
 def integrate(w: TwoForm) -> float:
     """Integral of w over the torus; the lattice mean is exact quadrature
     for trig polynomials below the Nyquist frequency."""
     return w.c12.mean()
-
-
-def laplacian_flat(f: ScalarField) -> ScalarField:
-    """Flat Laplacian d11 + d22 (one FFT round trip)."""
-    n = f.grid.n
-    k = 2.0 * np.pi * np.fft.fftfreq(n) * n
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    spec = np.fft.fft2(f.values) * (-k2)
-    return ScalarField(f.grid, np.fft.ifft2(spec).real)
 
 
 def random_band_limited(

@@ -21,26 +21,13 @@ from .fields import (
     TwoForm,
     VectorField,
     _check_same_grid,
+    _grad_raw,
+    _partial_raw,
     integrate,
     partial,
 )
 
 EPS_12 = 1.0  # sign of eps_12; flipping it flips the sign of Omega and alpha
-
-
-def _partial_raw(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral partial of a stacked array (..., n, n) along x (1) or y (2)."""
-    n = arr.shape[-1]
-    ik = 2j * np.pi * np.fft.fftfreq(n) * n
-    ik[n // 2] = 0.0
-    spec = np.fft.fft2(arr)
-    spec *= ik[:, None] if axis == 1 else ik[None, :]
-    return np.fft.ifft2(spec).real
-
-
-def _grad_raw(arr: np.ndarray) -> np.ndarray:
-    """Stack (d_1, d_2) of a stacked array; derivative index first."""
-    return np.stack([_partial_raw(arr, 1), _partial_raw(arr, 2)])
 
 
 @dataclass(frozen=True, eq=False)

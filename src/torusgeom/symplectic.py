@@ -136,27 +136,29 @@ def metric_path(g: Metric, h: TangentVector, t: float) -> Metric:
 
 
 def closedness_defect(
-    g: Metric, h1: TangentVector, h2: TangentVector, h3: TangentVector, eps: float
+    g: Metric, h1: TangentVector, h2: TangentVector, h3: TangentVector, eps: float,
+    form=omega,
 ) -> float:
-    """Finite-difference d(Omega) on constant-coefficient test directions.
+    """Finite-difference exterior derivative of a 2-form (Omega by default).
 
-    Each argument is extended near g by freezing its covariant components and
+    form(gp, a, b) is evaluated on constant-coefficient test directions: each
+    argument is extended near g by freezing its covariant components and
     re-projecting trace-free along metric_path; the full six-term formula
     (three cyclic derivatives minus three bracket terms) is evaluated with
-    central differences of step eps.  Expected to vanish as O(eps^2).
+    central differences of step eps.  For Omega it vanishes as O(eps^2).
     """
     fields = [h1, h2, h3]
 
     def extend(i: int, gp: Metric) -> TangentVector:
         return tracefree_project(fields[i].h, gp)
 
-    def omega_at(gp: Metric, i: int, j: int) -> float:
-        return omega(gp, extend(i, gp), extend(j, gp))
+    def form_at(gp: Metric, i: int, j: int) -> float:
+        return form(gp, extend(i, gp), extend(j, gp))
 
     def deriv(i: int, j: int, k: int) -> float:
         gp = metric_path(g, extend(i, g), eps)
         gm = metric_path(g, extend(i, g), -eps)
-        return (omega_at(gp, j, k) - omega_at(gm, j, k)) / (2.0 * eps)
+        return (form_at(gp, j, k) - form_at(gm, j, k)) / (2.0 * eps)
 
     def push(i: int, j: int) -> np.ndarray:
         # directional derivative of the extension of h_j along h_i, as raw components
@@ -172,9 +174,9 @@ def closedness_defect(
         deriv(0, 1, 2)
         - deriv(1, 0, 2)
         + deriv(2, 0, 1)
-        - omega(g, bracket(0, 1), extend(2, g))
-        + omega(g, bracket(0, 2), extend(1, g))
-        - omega(g, bracket(1, 2), extend(0, g))
+        - form(g, bracket(0, 1), extend(2, g))
+        + form(g, bracket(0, 2), extend(1, g))
+        - form(g, bracket(1, 2), extend(0, g))
     )
     return float(d)
 

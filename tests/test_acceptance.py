@@ -172,7 +172,7 @@ def test_criterion_08_holonomy_stokes():
     kp = 0.5 * tg.interpolate(s, p)
     errs = []
     for side in (0.1, 0.05, 0.025, 0.0125):
-        theta = frame_transport(g, Loop.square(p, side), 1e-3)
+        theta = frame_transport(g, Loop.square(p, side))
         rect = (p[0] - side / 2, p[0] + side / 2, p[1] - side / 2, p[1] + side / 2)
         errs.append(abs(theta / tg.region_integral(g.volume.density, rect, 24) - kp))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

@@ -20,7 +20,7 @@ from torusgeom.bundles import (
     kobayashi_neg,
     loop_integral_oneform,
 )
-from torusgeom.fields import ScalarField, SymTensor2, TwoForm, VectorField
+from torusgeom.fields import Interpolator, ScalarField, SymTensor2, TwoForm, VectorField
 
 from conftest import make_setup, pair_scale, sup
 
@@ -160,6 +160,47 @@ def test_frame_transport_rectangle_relation_one_dim(grid):
     assert abs(frame_transport(g, loop) - want) <= 1e-9
 
 
+def _rk4_transport(g, loop, dt):
+    """Reference transport: RK4 on v' = -Gamma(c', v) with trig-interpolated
+    Christoffels, then the angle of v against the g-orthonormal frame
+    (E1 along d/dx).  The frame is periodic, so the end frame is the start
+    frame; the angle is only read mod 2 pi, which the test loops never reach.
+    """
+    gam = g.christoffel().stack()  # [k, i, j]
+    interp_gam = Interpolator([ScalarField(g.grid, gam[k, i, j])
+                               for k in range(2) for i in range(2) for j in range(2)])
+    g11, g12, g22 = Interpolator([g.g11, g.g12, g.g22])(loop.points[:1])[:, 0]
+    v = np.array([1.0 / math.sqrt(g11), 0.0])
+    for a, b in zip(loop.points[:-1], loop.points[1:]):
+        tang = b - a
+        ne = math.ceil(np.hypot(*tang) / dt)
+        u = np.arange(2 * ne + 1) / (2 * ne)
+        gam_path = interp_gam(a + u[:, None] * tang).reshape(2, 2, 2, -1)
+        m = -np.einsum("kijs,i->skj", gam_path, tang)  # v' = m v at each stage point
+        h = 1.0 / ne
+        for s in range(ne):
+            k1 = m[2 * s] @ v
+            k2 = m[2 * s + 1] @ (v + 0.5 * h * k1)
+            k3 = m[2 * s + 1] @ (v + 0.5 * h * k2)
+            k4 = m[2 * s + 2] @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return math.atan2(math.sqrt(g11 * g22 - g12 * g12) * v[1], g11 * v[0] + g12 * v[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frame_transport_matches_rk4_oracle(grid, seed):
+    vol = sampling.random_volume_form(grid, seed + 300)
+    g = sampling.random_compatible_metric(grid, seed, volume=vol)
+    loops = (
+        Loop.square((0.37, 0.52), 0.4),
+        Loop.generator(1),
+        Loop.generator(2),
+        Loop.generator(2, (0.21, 0.13)),
+    )
+    for loop in loops:
+        assert abs(frame_transport(g, loop) - _rk4_transport(g, loop, 1e-3)) <= 1e-9
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stokes_contractible_loop(grid, seed):
     g, _, _ = make_setup(grid, seed)
@@ -183,7 +224,7 @@ def test_shrinking_loops_converge_to_curvature(grid):
     kp = 0.5 * tg.interpolate(s, p)
     errs = []
     for side in (0.1, 0.05, 0.025, 0.0125):
-        theta = frame_transport(g, Loop.square(p, side), 1e-3)
+        theta = frame_transport(g, Loop.square(p, side))
         rect = (p[0] - side / 2, p[0] + side / 2, p[1] - side / 2, p[1] + side / 2)
         mu_area = tg.region_integral(g.volume.density, rect, order=24)
         errs.append(abs(theta / mu_area - kp))
@@ -391,8 +432,8 @@ def test_equivariance_exploratory(grid):
             [np.full_like(ts, 0.0), ts], axis=1
         )
         mapped = phi.apply(straight)
-        theta_push = frame_transport(gp, Loop(mapped), 2e-3)
-        theta_orig = frame_transport(g, Loop(straight), 2e-3)
+        theta_push = frame_transport(gp, Loop(mapped))
+        theta_orig = frame_transport(g, Loop(straight))
         print(
             f"equivariance {hol_name}: pushforward along mapped generator "
             f"{-KAPPA_CONV * theta_push:+.6f} vs original {-KAPPA_CONV * theta_orig:+.6f} "

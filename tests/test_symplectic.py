@@ -133,15 +133,13 @@ def test_closedness_defect_random_base_small_with_order(grid):
 def test_closedness_machinery_detects_non_closed_form(grid):
     # sensitivity oracle: scaling Omega by a g-dependent functional breaks
     # closedness; the same finite-difference evaluator must see it
-    from torusgeom.suites import _d_twoform
-
     g = sampling.random_compatible_metric(grid, 25)
     hs = [sampling.random_tangent(g, 26 + i) for i in range(3)]
 
     def scaled(gp, a, b):
         return float(np.mean(gp.g11.values ** 2)) * tg.omega(gp, a, b)
 
-    assert abs(_d_twoform(g, *hs, 1e-3, scaled)) > 1e-3
+    assert abs(tg.closedness_defect(g, *hs, 1e-3, scaled)) > 1e-3
 
 
 def test_witness_flat_frozen_example(grid, flat):
