@@ -20,6 +20,7 @@ from .fields import (
     ScalarField,
     SymTensor2,
     VectorField,
+    _as_float_array,
     _grad_raw,
     _partial_raw,
     partial,
@@ -148,7 +149,8 @@ class DiscreteDiffeo:
     coordinates, shape (2, n, n).  The inverse is computed by reverse-time
     flow, not by map inversion.  det_forward, when present, is det DPhi at
     the lattice from the variational (tangent-map) flow, which is RK4-limited
-    rather than limited by re-differentiating the sampled map.
+    rather than limited by re-differentiating the sampled map.  The arrays
+    are read-only copies, so the cached volume_defect cannot go stale.
     """
 
     grid: Grid
@@ -158,8 +160,10 @@ class DiscreteDiffeo:
     det_forward: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", np.asarray(self.forward, dtype=np.float64))
-        object.__setattr__(self, "inverse", np.asarray(self.inverse, dtype=np.float64))
+        for name in ("forward", "inverse", "det_forward"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_float_array(getattr(self, name)))
+        object.__setattr__(self, "_volume_defect", None)
 
     def _mesh(self) -> np.ndarray:
         X, Y = self.grid.meshes()
@@ -184,8 +188,13 @@ class DiscreteDiffeo:
 
         Uses the variational-flow determinant when available; otherwise the
         Jacobian comes from spectral derivatives of the sampled displacement
-        (which adds a resampling error on top of the RK4 one).
+        (which adds a resampling error on top of the RK4 one).  Computed once.
         """
+        if self._volume_defect is None:
+            object.__setattr__(self, "_volume_defect", self._compute_volume_defect())
+        return self._volume_defect
+
+    def _compute_volume_defect(self) -> float:
         if self.det_forward is not None:
             det = self.det_forward
         else:
@@ -253,14 +262,14 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
         raise ValueError("flow step dt must be positive")
     grid = X.grid
     x1, x2 = X.vector.x1, X.vector.x2
-    interp = Interpolator(
+    with_gradient = Interpolator(
         [x1, x2, partial(x1, 1), partial(x1, 2), partial(x2, 1), partial(x2, 2)]
     )
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
     nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1
-    fwd, jac = _rk4_flow(interp, pts, t, nsteps, tangent=True)
-    inv, _ = _rk4_flow(interp, pts, -t, nsteps)
+    fwd, jac = _rk4_flow(with_gradient, pts, t, nsteps, tangent=True)
+    inv, _ = _rk4_flow(Interpolator([x1, x2]), pts, -t, nsteps)
     det = np.linalg.det(jac).reshape(grid.n, grid.n)
     phi = DiscreteDiffeo(
         grid,

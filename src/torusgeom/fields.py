@@ -321,43 +321,53 @@ def random_band_limited(
 class Interpolator:
     """Trigonometric interpolation of one or more fields at arbitrary points.
 
-    Packs the Fourier coefficients once; evaluation at m points costs one
-    (m x n) @ (n x n) product per field.  The Nyquist column is evaluated as
-    a cosine so the interpolant is real and reproduces the lattice samples.
+    The Fourier coefficients are folded once into a real (nfields*n, n)
+    matrix over the real basis 1, cos 2 pi k t (k = 1..n/2), sin 2 pi k t
+    (k = 1..n/2-1) on each axis: the y half-spectrum comes from rfft2 with
+    its interior columns doubled, and the +-p pairs in x fold into cosine
+    and sine rows.  The Nyquist mode is a cosine on both axes, so the
+    interpolant is real and reproduces the lattice samples.  Evaluation at
+    m points is one real (nfields*n x n) @ (n x m) product plus an
+    O(nfields n m) contraction with the y basis.
     """
 
     def __init__(self, fields):
         fields = list(fields)
         self.grid = _check_same_grid(*fields)
-        n = self.grid.n
-        coeffs = np.stack([np.fft.fft2(f.values) / (n * n) for f in fields])
+        n, h = self.grid.n, self.grid.n // 2
         self._nfields = len(fields)
-        # packed (n, nfields * n) so evaluation is a single matmul
+        c = np.fft.rfft2(np.stack([f.values for f in fields])) / (n * n)
+        c[:, :, 1:h] *= 2.0  # y modes q and -q share one column
+        # x rows: c_0, c_p + c_-p (cos, p = 1..h-1), c_h (cos), i (c_p - c_-p) (sin)
+        d = np.empty((self._nfields, n, h + 1), dtype=complex)
+        d[:, : h + 1] = c[:, : h + 1]
+        d[:, 1:h] += c[:, :h:-1]
+        d[:, h + 1 :] = 1j * (c[:, 1:h] - c[:, :h:-1])
+        # y columns: Re(d e^{2 pi i q y}) = Re d cos - Im d sin; Nyquist as cosine
+        folded = np.concatenate([d.real, -d.imag[:, :, 1:h]], axis=2)
+        # (field, y basis, x basis) so that one product with the x basis
+        # leaves a (field, y basis, point) array
         self._packed = np.ascontiguousarray(
-            coeffs.transpose(1, 0, 2).reshape(n, self._nfields * n)
+            folded.transpose(0, 2, 1).reshape(self._nfields * n, n)
         )
 
     def _basis(self, coords: np.ndarray) -> np.ndarray:
-        # e[:, j] = exp(2 pi i f_j x) in FFT frequency order, built by
-        # recurrence (much cheaper than one exp per mode); Nyquist as cosine
-        n = self.grid.n
+        # (n, m) rows 1, cos 2 pi k t (k = 1..n/2), sin 2 pi k t (k = 1..n/2-1)
+        # from z^k = z^(k-1) z, one contiguous row per step
+        h = self.grid.n // 2
         z = np.exp(2j * np.pi * coords)
-        e = np.empty((coords.shape[0], n), dtype=complex)
-        e[:, 0] = 1.0
-        for k in range(1, n // 2):
-            np.multiply(e[:, k - 1], z, out=e[:, k])
-        e[:, n // 2 + 1 :] = np.conj(e[:, 1 : n // 2][:, ::-1])
-        e[:, n // 2] = (e[:, n // 2 - 1] * z).real
-        return e
+        e = np.empty((h + 1, coords.shape[0]), dtype=complex)
+        e[0] = 1.0
+        for k in range(1, h + 1):
+            np.multiply(e[k - 1], z, out=e[k])
+        return np.concatenate([e.real, e.imag[1:h]])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all fields at points of shape (m, 2); returns (nfields, m)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = self.grid.n
-        ex = self._basis(pts[:, 0])
-        ey = self._basis(pts[:, 1])
-        tmp = (ex @ self._packed).reshape(pts.shape[0], self._nfields, n)
-        return np.einsum("mfl,ml->fm", tmp, ey).real
+        n, m = self.grid.n, pts.shape[0]
+        tmp = (self._packed @ self._basis(pts[:, 0])).reshape(self._nfields, n, m)
+        return np.einsum("flm,lm->fm", tmp, self._basis(pts[:, 1]))
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:

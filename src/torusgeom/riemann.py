@@ -30,6 +30,13 @@ from .fields import (
 EPS_12 = 1.0  # sign of eps_12; flipping it flips the sign of Omega and alpha
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject NaN or infinite samples, naming the first lattice location."""
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{name} is not finite at lattice ({i}, {j}): {values[i, j]}")
+
+
 @dataclass(frozen=True, eq=False)
 class VolumeForm:
     """Area form mu = f dx^dy with strictly positive density f."""
@@ -37,6 +44,7 @@ class VolumeForm:
     density: ScalarField
 
     def __post_init__(self):
+        _check_finite("volume density", self.density.values)
         fmin = float(np.min(self.density.values))
         if fmin <= 0.0:
             a, b = np.unravel_index(np.argmin(self.density.values), self.density.values.shape)
@@ -72,6 +80,8 @@ class Metric:
 
     def __post_init__(self):
         _check_same_grid(self.g11, self.g12, self.g22, self.volume.density)
+        for name in ("g11", "g12", "g22"):
+            _check_finite(f"metric {name}", getattr(self, name).values)
         a = self.g11.values
         det = self.det_values()
         if np.min(a) <= 0.0 or np.min(det) <= 0.0:

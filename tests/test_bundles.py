@@ -352,6 +352,14 @@ def test_momentum_residual_flat_killing(grid, flat):
     assert abs(tg.momentum_residual(flat, x, h)) <= 1e-10
 
 
+def test_momentum_residual_coarse_grid_with_loosened_trace_tol():
+    # at N=32 (kmax 4) the g-trace of -L_X g aliases to ~1e-6, above the default
+    g, X, h = make_setup(tg.Grid(32), 0)
+    with pytest.raises(ValueError, match="g-trace"):
+        tg.momentum_residual(g, X, h)
+    assert abs(tg.momentum_residual(g, X, h, trace_tol=1e-4)) <= 1e-8 * pair_scale(g, X, h)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_momentum_residual_random(grid, seed):
     g, X, h = make_setup(grid, seed, harmonic=seed >= 7)

@@ -3,7 +3,7 @@ import pytest
 
 import torusgeom as tg
 from torusgeom import sampling
-from torusgeom.diffeo import FLOW_MAX_DT
+from torusgeom.diffeo import FLOW_MAX_DT, DiscreteDiffeo
 from torusgeom.fields import OneForm
 
 from conftest import make_setup, pair_scale, sup
@@ -34,6 +34,21 @@ def test_divfree_flow_preserves_volume(grid):
     )
     phi = tg.flow(X, 0.1, 5e-3)
     assert phi.volume_defect() <= 1e-6
+
+
+def test_flow_result_is_read_only_and_volume_defect_cached(grid, monkeypatch):
+    computed = []
+    real = DiscreteDiffeo._compute_volume_defect
+    monkeypatch.setattr(DiscreteDiffeo, "_compute_volume_defect",
+                        lambda self: computed.append(1) or real(self))
+    vol = sampling.random_volume_form(grid, 43)
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 44), (0.0, 0.0), vol)
+    phi = tg.flow(X, 5e-3, 5e-3)  # evaluates the defect for its own gate
+    assert phi.volume_defect() == phi.volume_defect() <= 1e-6
+    assert len(computed) == 1
+    for arr in (phi.forward, phi.inverse, phi.det_forward):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] += 1.0
 
 
 def test_fundamental_vector_of_zero_field(grid):

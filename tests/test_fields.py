@@ -147,6 +147,72 @@ def test_interpolate_matches_mode_sum_oracle(grid):
     assert sup(got - want) <= 1e-12
 
 
+def full_spectrum_oracle(fields, points):
+    """The complex full-spectrum evaluator the half-spectrum one replaced:
+    basis by recurrence, one (m x n) @ (n x nfields*n) complex product,
+    Nyquist mode as a cosine on both axes."""
+    n = fields[0].grid.n
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    packed = np.stack([np.fft.fft2(f.values) / n**2 for f in fields]).transpose(1, 0, 2)
+
+    def basis(t):
+        z = np.exp(2j * np.pi * t)
+        e = np.empty((t.size, n), dtype=complex)
+        e[:, 0] = 1.0
+        for k in range(1, n // 2):
+            e[:, k] = e[:, k - 1] * z
+        e[:, n // 2 + 1 :] = np.conj(e[:, 1 : n // 2][:, ::-1])
+        e[:, n // 2] = (e[:, n // 2 - 1] * z).real
+        return e
+
+    tmp = (basis(pts[:, 0]) @ packed.reshape(n, -1)).reshape(len(pts), len(fields), n)
+    return np.einsum("mfl,ml->fm", tmp, basis(pts[:, 1])).real
+
+
+def _assert_matches_oracle(fields, points):
+    got = tg.Interpolator(fields)(points)
+    want = full_spectrum_oracle(fields, points)
+    assert got.shape == want.shape == (len(fields), np.atleast_2d(points).shape[0])
+    assert sup(got - want) <= 1e-14 * max(f.max_abs() for f in fields)
+
+
+# points in [-1.5, 2.5)^2: negative, inside the unit square and beyond 1
+_ORACLE_POINTS = np.random.default_rng(7).uniform(-1.5, 2.5, (300, 2))
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("nfields", [1, 2, 3, 6])
+def test_interpolator_matches_full_spectrum_oracle(n, nfields):
+    # white-noise samples carry every mode, the Nyquist ones included
+    grid = Grid(n)
+    rng = np.random.default_rng(100 * n + nfields)
+    fields = [ScalarField(grid, rng.standard_normal((n, n))) for _ in range(nfields)]
+    _assert_matches_oracle(fields, _ORACLE_POINTS)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_interpolator_nyquist_modes_match_oracle(n):
+    grid = Grid(n)
+    fields = [
+        tg.field_from_function(grid, lambda X, Y: np.cos(np.pi * n * X)),
+        tg.field_from_function(grid, lambda X, Y: np.cos(np.pi * n * Y)),
+        tg.field_from_function(grid, lambda X, Y: np.cos(np.pi * n * X) * np.cos(np.pi * n * Y)),
+    ]
+    _assert_matches_oracle(fields, _ORACLE_POINTS)
+    for f in fields:
+        _assert_matches_oracle([f], _ORACLE_POINTS)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_interpolator_single_point_matches_oracle(n):
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    fields = [ScalarField(grid, rng.standard_normal((n, n))) for _ in range(3)]
+    for point in [(-0.37, 1.61), (0.0, 0.0), (2.3, -1.2)]:
+        _assert_matches_oracle(fields, point)
+        _assert_matches_oracle(fields, [point])
+
+
 def test_region_integral_closed_form(grid):
     # int sin(2 pi x) cos(2 pi y) over [a,b] x [c,d]
     f = tg.field_from_function(grid, lambda X, Y: np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y))

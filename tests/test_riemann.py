@@ -32,6 +32,21 @@ def test_volume_form_rejects_nonpositive(grid):
         VolumeForm(tg.field_from_function(grid, lambda X, Y: np.sin(2 * np.pi * X)))
 
 
+def test_volume_form_rejects_nan_with_location(grid):
+    vals = np.ones((grid.n, grid.n))
+    vals[5, 2] = np.nan
+    with pytest.raises(ValueError, match=r"not finite at lattice \(5, 2\)"):
+        VolumeForm(ScalarField(grid, vals))
+
+
+def test_metric_rejects_non_finite_with_location(grid, flat):
+    vals = np.zeros((grid.n, grid.n))
+    vals[9, 4] = np.inf
+    one = tg.constant_field(grid, 1.0)
+    with pytest.raises(ValueError, match=r"g12 is not finite at lattice \(9, 4\)"):
+        tg.Metric(one, ScalarField(grid, vals), one, flat.volume)
+
+
 def test_project_compatible_keeps_flat_identity(grid, flat):
     raw = SymTensor2(tg.constant_field(grid, 1.0), tg.constant_field(grid, 0.0), tg.constant_field(grid, 1.0))
     g = tg.project_compatible(raw, flat.volume)

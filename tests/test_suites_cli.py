@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from torusgeom import bundles
 from torusgeom.cli import main
 from torusgeom.suites import (
     SUITE_CHECKS,
@@ -54,6 +55,22 @@ def test_config_rejects_bad_grid():
 def test_config_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError, match="positive"):
         SuiteConfig(tolerances={"momentum": 0.0})
+
+
+def test_config_rejects_boolean_tolerance():
+    with pytest.raises(ValueError, match="must be a number"):
+        SuiteConfig.from_dict({"tolerances": {"momentum": True}})
+
+
+def test_config_rejects_infinite_tolerance():
+    data = json.loads('{"tolerances": {"kobayashi": Infinity}}')
+    with pytest.raises(ValueError, match="finite"):
+        SuiteConfig.from_dict(data)
+
+
+def test_config_rejects_duplicate_seeds():
+    with pytest.raises(ValueError, match="distinct"):
+        SuiteConfig.from_dict({"seeds": [3, 4, 3]})
 
 
 def test_config_rejects_unknown_field():
@@ -148,6 +165,31 @@ def test_convergence_table_rows():
     assert len(dalpha_rows) == 3
     last = dalpha_rows[-1].split(",")
     assert float(last[3]) <= 1e-2 and last[4] == "spectral"
+
+
+def test_convergence_resolved_grids_pass_at_roundoff_floor():
+    # N=64 already resolves kmax 4; the N=64 -> N=128 ratio of two residuals
+    # at or near roundoff is noise, so it is recorded as 0 with the floor named
+    config = SuiteConfig(grid_sizes=(64, 128), seeds=(0, 1, 2), suites=("convergence",))
+    report = run_suites(config)
+    assert len(report.records) == 15 and all(r.passed for r in report.records)
+    ratios = [r for r in report.records if r.name == "dalpha_ratio"]
+    assert [r.residual for r in ratios] == [0.0] * 3
+    assert all("floor" in r.note for r in ratios)
+
+
+def test_convergence_unresolved_fine_grid_still_fails(monkeypatch):
+    real = bundles.dalpha_defect
+
+    def unresolved_at_128(g, h):
+        out = real(g, h)
+        return out + 1e-6 * h.h.max_abs() if g.grid.n == 128 else out
+
+    monkeypatch.setattr(bundles, "dalpha_defect", unresolved_at_128)
+    config = SuiteConfig(grid_sizes=(64, 128), seeds=(0, 1, 2), suites=("convergence",))
+    ratios = [r for r in run_suites(config).records if r.name == "dalpha_ratio"]
+    assert len(ratios) == 3 and not any(r.passed for r in ratios)
+    assert all(r.residual > 1.0 for r in ratios)
 
 
 def test_convergence_table_empty_warning():
