@@ -247,14 +247,9 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     return CircleBundleClass(curv, -KAPPA_CONV * theta_a, -KAPPA_CONV * theta_b, chern)
 
 
-def momentum_residual(
-    g: Metric, X: DivFreeField, h: TangentVector, trace_tol: float = 1e-9
-) -> float:
-    """Omega_g(X.g, h) + kappa(X, alpha_h); zero is the momentum-map identity.
-
-    trace_tol goes to fundamental_vector; coarse grids (N < 64) need a looser one.
-    """
-    lhs = omega(g, fundamental_vector(X, g, trace_tol), h)
+def momentum_residual(g: Metric, X: DivFreeField, h: TangentVector) -> float:
+    """Omega_g(X.g, h) + kappa(X, alpha_h); zero is the momentum-map identity."""
+    lhs = omega(g, fundamental_vector(X, g), h)
     return lhs + pairing_kappa(X, connection_alpha(g, h))
 
 

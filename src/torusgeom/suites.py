@@ -658,10 +658,14 @@ def suite_flow_invariance(config: SuiteConfig):
     yield _record("flow-invariance", "translation_exact", 0, n, config.kmax, res, 1e-12, t0)
 
 
-# Normalised d(alpha) residual treated as resolved.  Below it a further drop by
-# the default ratio tolerance (1e-2) would reach the roundoff level, which
-# measures 1e-12 to 5e-12 at N=128.
-DALPHA_FLOOR = 1e-9
+# Roundoff level of a normalised convergence residual (1e-12 to 5e-12 for
+# d(alpha) at N=128).  A ratio res/prev is noise when res is at this level and
+# prev is too small for a drop by the ratio tolerance to land above it.
+ROUNDOFF_FLOOR = 1e-11
+
+
+def _at_floor(res: float, prev: float, tol_ratio: float) -> bool:
+    return res <= ROUNDOFF_FLOOR and prev <= ROUNDOFF_FLOOR / tol_ratio
 
 
 def suite_convergence(config: SuiteConfig):
@@ -698,9 +702,9 @@ def suite_convergence(config: SuiteConfig):
             t0 = time.perf_counter()
             r_lo, r_hi = dalpha_by_n[seed][lo], dalpha_by_n[seed][hi]
             note = f"N={lo} -> N={hi}"
-            if r_lo <= DALPHA_FLOOR and r_hi <= DALPHA_FLOOR:
+            if _at_floor(r_hi, r_lo, tol_ratio):
                 res = 0.0  # resolved at both sizes; the ratio would be noise
-                note += f"; residuals {r_lo:.2e}, {r_hi:.2e} <= floor {DALPHA_FLOOR:.0e}"
+                note += f"; residuals {r_lo:.2e}, {r_hi:.2e} at floor {ROUNDOFF_FLOOR:.0e}"
             else:
                 res = r_hi / max(r_lo, 1e-300)
             yield _record("convergence", "dalpha_ratio", seed, hi, config.kmax,
@@ -805,6 +809,8 @@ def run_suites(config: SuiteConfig, record_filter: tuple[str, int, int] | None =
 def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
     """CSV text with one row per (check, N): residual, ratio to previous N, flag.
 
+    The flag uses the dalpha_ratio gate's roundoff floor and ratio tolerance.
+
     Returns (csv_text, warning) where warning is set when the report holds no
     convergence data (the table is then just the header row).
     """
@@ -812,6 +818,7 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
     recs = [r for r in report.records if r.suite == "convergence" and r.name != "dalpha_ratio"]
     if not recs:
         return rows[0] + "\n", "no convergence records in report; table is empty"
+    tol_ratio = report.config.tol("convergence")
     by_check: dict = {}
     for r in recs:
         by_check.setdefault(r.name, {}).setdefault(r.n, []).append(r.residual)
@@ -824,9 +831,9 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
             else:
                 ratio_val = res / max(prev, 1e-300)
                 ratio = f"{ratio_val:.6e}"
-                if res < 1e-11 and prev < 1e-11:
+                if _at_floor(res, prev, tol_ratio):
                     flag = "floor"
-                elif ratio_val <= 1e-2:
+                elif ratio_val <= tol_ratio:
                     flag = "spectral"
                 elif ratio_val < 1.0:
                     flag = "decaying"

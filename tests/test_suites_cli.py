@@ -176,14 +176,20 @@ def test_convergence_resolved_grids_pass_at_roundoff_floor():
     ratios = [r for r in report.records if r.name == "dalpha_ratio"]
     assert [r.residual for r in ratios] == [0.0] * 3
     assert all("floor" in r.note for r in ratios)
+    # the CSV flags the same rows with the same floor
+    csv_text, _ = convergence_table(report)
+    assert "dalpha_residual,128," in csv_text
+    assert csv_text.split("dalpha_residual,128,")[1].split("\n")[0].endswith(",floor")
 
 
-def test_convergence_unresolved_fine_grid_still_fails(monkeypatch):
+# 5e-10 rises above every N=64 residual yet stays below 1e-9
+@pytest.mark.parametrize("level", [1e-6, 5e-10])
+def test_convergence_unresolved_fine_grid_still_fails(monkeypatch, level):
     real = bundles.dalpha_defect
 
     def unresolved_at_128(g, h):
         out = real(g, h)
-        return out + 1e-6 * h.h.max_abs() if g.grid.n == 128 else out
+        return out + level * h.h.max_abs() if g.grid.n == 128 else out
 
     monkeypatch.setattr(bundles, "dalpha_defect", unresolved_at_128)
     config = SuiteConfig(grid_sizes=(64, 128), seeds=(0, 1, 2), suites=("convergence",))
