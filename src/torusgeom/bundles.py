@@ -45,9 +45,8 @@ from .riemann import (
     raise_sym2,
     scalar_curvature,
 )
-from .symplectic import TangentVector, metric_path
+from .symplectic import TangentVector, metric_path, omega
 from .diffeo import DivFreeField, fundamental_vector, pairing_kappa
-from .symplectic import omega
 
 KAPPA_CONV = 2.0
 CURV_NORM = 2.0
@@ -144,8 +143,7 @@ class CircleBundleClass:
 
 def identity_class(grid: Grid) -> CircleBundleClass:
     """The trivial bundle with the flat connection."""
-    zero = ScalarField(grid, np.zeros((grid.n, grid.n)))
-    return CircleBundleClass(TwoForm(zero), 0.0, 0.0, 0)
+    return CircleBundleClass(TwoForm(constant_field(grid, 0.0)), 0.0, 0.0, 0)
 
 
 def constant_curvature_class(
@@ -153,22 +151,20 @@ def constant_curvature_class(
 ) -> CircleBundleClass:
     """Class with curvature 2*pi*chern * mu / vol(mu); handy test input."""
     scale = TWO_PI * chern / mu.total()
-    return CircleBundleClass(
-        TwoForm(ScalarField(mu.grid, scale * mu.density.values)), holA, holB, chern
-    )
+    return CircleBundleClass(TwoForm.from_stack(mu.grid, scale * mu.stack()), holA, holB, chern)
 
 
 def kobayashi_add(c1: CircleBundleClass, c2: CircleBundleClass) -> CircleBundleClass:
     """Group law: curvatures add, holonomies multiply (angles add), cherns add."""
     if c1.grid != c2.grid:
         raise ValueError(f"grid mismatch: {c1.grid} vs {c2.grid}")
-    curv = TwoForm(ScalarField(c1.grid, c1.curvature.c12.values + c2.curvature.c12.values))
+    curv = TwoForm.from_stack(c1.grid, c1.curvature.stack() + c2.curvature.stack())
     return CircleBundleClass(curv, c1.holA + c2.holA, c1.holB + c2.holB, c1.chern + c2.chern)
 
 
 def kobayashi_neg(c: CircleBundleClass) -> CircleBundleClass:
     """Inverse class (same bundle with the opposite circle action)."""
-    curv = TwoForm(ScalarField(c.grid, -c.curvature.c12.values))
+    curv = TwoForm.from_stack(c.grid, -c.curvature.stack())
     return CircleBundleClass(curv, -c.holA, -c.holB, -c.chern)
 
 
@@ -176,7 +172,7 @@ def connection_alpha(g: Metric, h: TangentVector) -> OneForm:
     """Representative alpha_i = mu_ik nabla_j h^{kj} of the log-derivative class."""
     y = covariant_divergence(raise_sym2(h.h, g), g).stack()
     f = g.volume.density.values
-    return OneForm(ScalarField(g.grid, f * y[1]), ScalarField(g.grid, -f * y[0]))
+    return OneForm.from_stack(g.grid, np.array([1.0, -1.0])[:, None, None] * f * y[::-1])
 
 
 def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
@@ -191,11 +187,10 @@ def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
 def divergence_identity_defect(g: Metric, Y) -> TwoForm:
     """Defect of nabla_i(Y^k mu_kj) - nabla_j(Y^k mu_ki) = (nabla_k Y^k) mu_ij."""
     f = g.volume.density.values
-    ys = Y.stack()
-    beta = OneForm(ScalarField(g.grid, -f * ys[1]), ScalarField(g.grid, f * ys[0]))
+    beta = OneForm.from_stack(g.grid, np.array([-1.0, 1.0])[:, None, None] * f * Y.stack()[::-1])
     nab = cov_deriv_oneform(beta, g)
     div = divergence_vector(Y, g).values
-    return TwoForm(ScalarField(g.grid, nab[0, 1] - nab[1, 0] - div * f))
+    return TwoForm.from_stack(g.grid, nab[0, 1] - nab[1, 0] - div * f)
 
 
 def _connection_form(g: Metric) -> OneForm:
@@ -208,8 +203,7 @@ def _connection_form(g: Metric) -> OneForm:
     e1 = VectorField(ScalarField(grid, 1.0 / np.sqrt(g.g11.values)), constant_field(grid, 0.0))
     e2 = np.einsum("ijab,jab->iab", complex_structure(g).stack(), e1.stack())
     nab = cov_deriv_vector(e1, g)  # [i, k] = nabla_i E1^k
-    w = np.einsum("ikab,klab,lab->iab", nab, g.stack(), e2)
-    return OneForm(ScalarField(grid, w[0]), ScalarField(grid, w[1]))
+    return OneForm.from_stack(grid, np.einsum("ikab,klab,lab->iab", nab, g.stack(), e2))
 
 
 def frame_transport(g: Metric, loop: Loop) -> float:
@@ -233,7 +227,7 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     """
     s = scalar_curvature(g)
     f = g.volume.density.values
-    curv = TwoForm(ScalarField(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * f))
+    curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * f)
     conn = _connection_form(g)
     theta_a = -loop_integral_oneform(conn, Loop.generator(1))
     theta_b = -loop_integral_oneform(conn, Loop.generator(2))

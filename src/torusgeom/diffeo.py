@@ -51,15 +51,11 @@ class DivFreeField:
     def __post_init__(self):
         if abs(self.stream.mean()) > 1e-12 * max(self.stream.max_abs(), 1.0):
             raise ValueError("stream function must have zero mean")
-        a, b = self.harmonic
-        f = self.volume.density.values
-        flux1 = partial(self.stream, 1).values + a
-        flux2 = partial(self.stream, 2).values + b
-        vec = VectorField(
-            ScalarField(self.grid, flux2 / f), ScalarField(self.grid, -flux1 / f)
-        )
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "_flux", np.stack([flux1, flux2]))
+        flux = _grad_raw(self.stream.values) + np.array(self.harmonic)[:, None, None]
+        # X^1 = flux_2 / f, X^2 = -flux_1 / f
+        vec = np.array([1.0, -1.0])[:, None, None] * flux[::-1] / self.volume.density.values
+        object.__setattr__(self, "vector", VectorField.from_stack(self.grid, vec))
+        object.__setattr__(self, "_flux", flux)
 
     @property
     def grid(self) -> Grid:
@@ -111,8 +107,8 @@ def fundamental_vector(X: DivFreeField, g: Metric, trace_tol: float = 1e-9) -> T
 def pairing_kappa(X: DivFreeField, alpha: OneForm) -> float:
     """Duality pairing int (X . alpha) mu; descends to classes mod exact forms."""
     f = X.volume.density.values
-    xs = X.vector.stack()
-    return float(np.mean((xs[0] * alpha.a1.values + xs[1] * alpha.a2.values) * f))
+    xs, al = X.vector.stack(), alpha.stack()
+    return float(np.mean((xs[0] * al[0] + xs[1] * al[1]) * f))
 
 
 def lemma1_rhs(g: Metric, X: DivFreeField, h: TangentVector) -> float:
@@ -169,19 +165,23 @@ class DiscreteDiffeo:
         X, Y = self.grid.meshes()
         return np.stack([X, Y])
 
-    def _displacement_fields(self, samples: np.ndarray):
-        mesh = self._mesh()
-        d = samples - mesh
-        return [ScalarField(self.grid, d[0]), ScalarField(self.grid, d[1])]
+    def _evaluate(self, samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The sampled map at points (m, 2), by interpolating its displacement."""
+        d = VectorField.from_stack(self.grid, samples - self._mesh())
+        return np.asarray(points) + Interpolator([d.x1, d.x2])(points).T
+
+    def _jacobian(self, samples: np.ndarray) -> np.ndarray:
+        """D of the sampled map as [k, i] = d_i (map)^k, from spectral
+        derivatives of its displacement."""
+        grad = _grad_raw(samples - self._mesh())  # [i, k]
+        return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the forward map at arbitrary points (m, 2)."""
-        disp = Interpolator(self._displacement_fields(self.forward))(points)
-        return np.asarray(points) + disp.T
+        return self._evaluate(self.forward, points)
 
     def apply_inverse(self, points: np.ndarray) -> np.ndarray:
-        disp = Interpolator(self._displacement_fields(self.inverse))(points)
-        return np.asarray(points) + disp.T
+        return self._evaluate(self.inverse, points)
 
     def volume_defect(self) -> float:
         """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f.
@@ -198,11 +198,7 @@ class DiscreteDiffeo:
         if self.det_forward is not None:
             det = self.det_forward
         else:
-            d = self.forward - self._mesh()
-            grad = _grad_raw(d)  # [i, k] = d_i of displacement component k
-            jac = grad.transpose(1, 0, 2, 3).copy()  # [k, i]
-            jac[0, 0] += 1.0
-            jac[1, 1] += 1.0
+            jac = self._jacobian(self.forward)
             det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         f = self.volume.density
         f_phi = Interpolator([f])(self.forward.reshape(2, -1).T)[0].reshape(f.values.shape)
@@ -287,19 +283,14 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
 
 
 def _pushforward_sym2_stack(phi: DiscreteDiffeo, comps: list[ScalarField]) -> np.ndarray:
-    """Common kernel: (phi_* T)_ij = J^k_i J^l_j T_kl(phi^-1), J = D(phi^-1)."""
+    """Common kernel: (phi_* T)_ij = J^k_i J^l_j T_kl(phi^-1), J = D(phi^-1),
+    symmetrized to cancel roundoff."""
     grid = phi.grid
-    mesh = phi._mesh()
-    dinv = phi.inverse - mesh
-    grad = _grad_raw(dinv)  # [i, k]
-    jac = grad.transpose(1, 0, 2, 3).copy()  # [k, i]
-    jac[0, 0] += 1.0
-    jac[1, 1] += 1.0
-    pulled = Interpolator(comps)(phi.inverse.reshape(2, -1).T)
-    n = grid.n
-    a, b, c = (pulled[i].reshape(n, n) for i in range(3))
-    tpull = np.stack([np.stack([a, b]), np.stack([b, c])])
-    return np.einsum("kiab,ljab,klab->ijab", jac, jac, tpull)
+    jac = phi._jacobian(phi.inverse)
+    pulled = Interpolator(comps)(phi.inverse.reshape(2, -1).T).reshape(3, grid.n, grid.n)
+    tpull = pulled[[[0, 1], [1, 2]]]  # (c11, c12, c22) -> T[k, l]
+    out = np.einsum("kiab,ljab,klab->ijab", jac, jac, tpull)
+    return 0.5 * (out + out.transpose(1, 0, 2, 3))
 
 
 def pushforward_metric(phi: DiscreteDiffeo, g: Metric, compat_tol: float = 1e-5) -> Metric:
@@ -309,14 +300,7 @@ def pushforward_metric(phi: DiscreteDiffeo, g: Metric, compat_tol: float = 1e-5)
     than the spectral floor used for exactly constructed metrics.
     """
     arr = _pushforward_sym2_stack(phi, [g.g11, g.g12, g.g22])
-    a01 = 0.5 * (arr[0, 1] + arr[1, 0])
-    grid = phi.grid
-    out = Metric(
-        ScalarField(grid, arr[0, 0]),
-        ScalarField(grid, a01),
-        ScalarField(grid, arr[1, 1]),
-        g.volume,
-    )
+    out = Metric.from_stack(phi.grid, arr, volume=g.volume)
     res = out.compatibility_residual()
     if res > compat_tol:
         raise ValueError(
@@ -330,5 +314,4 @@ def pushforward_tangent(
 ) -> TangentVector:
     """Push a tangent tensor forward and re-project trace-free at phi_* g."""
     arr = _pushforward_sym2_stack(phi, [h.h.c11, h.h.c12, h.h.c22])
-    sym = SymTensor2.from_stack(phi.grid, 0.5 * (arr + arr.transpose(1, 0, 2, 3)))
-    return tracefree_project(sym, g_push)
+    return tracefree_project(SymTensor2.from_stack(phi.grid, arr), g_push)

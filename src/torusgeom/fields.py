@@ -15,6 +15,14 @@ import numpy as np
 
 
 def _as_float_array(values) -> np.ndarray:
+    """Read-only float64 array.  A read-only view of a read-only array that
+    owns its memory (a tensor's component) is shared; anything else is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        owner = values if values.base is None else values.base
+        if isinstance(owner, np.ndarray) and owner.flags.owndata and not (
+            owner.flags.writeable or values.flags.writeable
+        ):
+            return values
     arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
@@ -41,10 +49,6 @@ class Grid:
         """Coordinate arrays X, Y of shape (n, n), indexing 'ij'."""
         a = self.axis_points()
         return np.meshgrid(a, a, indexing="ij")
-
-    def int_freqs(self) -> np.ndarray:
-        """Integer Fourier frequencies in FFT order (0..n/2-1, -n/2..-1)."""
-        return (np.fft.fftfreq(self.n) * self.n).astype(np.int64)
 
 
 def _check_same_grid(*fields):
@@ -117,155 +121,143 @@ def field_from_function(grid: Grid, fn) -> ScalarField:
     return ScalarField(grid, fn(X, Y))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """Contravariant components X^1, X^2."""
+class Component:
+    """One named component of a Tensor subclass, declared by its array positions.
 
-    x1: ScalarField
-    x2: ScalarField
+    Reading it gives a ScalarField view of the stored array, not a copy.  The
+    off-diagonal of a symmetric tensor lists both positions; the first is the
+    one read back.
+    """
 
-    def __post_init__(self):
-        _check_same_grid(self.x1, self.x2)
+    def __init__(self, *positions: tuple[int, ...]):
+        self.positions = positions
 
-    @property
-    def grid(self) -> Grid:
-        return self.x1.grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.x1.values, self.x2.values])
-
-
-@dataclass(frozen=True, eq=False)
-class OneForm:
-    """Covariant components a_1, a_2."""
-
-    a1: ScalarField
-    a2: ScalarField
-
-    def __post_init__(self):
-        _check_same_grid(self.a1, self.a2)
-
-    @property
-    def grid(self) -> Grid:
-        return self.a1.grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.a1.values, self.a2.values])
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return ScalarField(obj.grid, obj.stack()[self.positions[0]])
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensor2:
-    """Symmetric covariant 2-tensor, components h_11, h_12 (= h_21), h_22."""
+class Tensor:
+    """Tensor field stored as one owned, read-only, component-first array.
 
-    c11: ScalarField
-    c12: ScalarField
-    c22: ScalarField
+    Subclasses declare their components, in constructor order, as Component
+    class attributes; the array has one axis of length 2 per index, then the
+    two lattice axes.  The constructor takes one ScalarField per component
+    and from_stack a whole array; both copy the input, write each component
+    at all of its positions and then run __post_init__.
+    """
 
-    def __post_init__(self):
-        _check_same_grid(self.c11, self.c12, self.c22)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._components = tuple(v for v in vars(cls).values() if isinstance(v, Component))
+        cls._rank = len(cls._components[0].positions[0])
 
-    @property
-    def grid(self) -> Grid:
-        return self.c11.grid
-
-    def stack(self) -> np.ndarray:
-        """Component-first array of shape (2, 2, n, n)."""
-        a, b, c = self.c11.values, self.c12.values, self.c22.values
-        return np.stack([np.stack([a, b]), np.stack([b, c])])
+    def __init__(self, *components: ScalarField):
+        if len(components) != len(self._components):
+            raise TypeError(f"{type(self).__name__} takes {len(self._components)} components")
+        self._adopt(_check_same_grid(*components), [c.values for c in components], {})
 
     @classmethod
-    def from_stack(cls, grid: Grid, arr: np.ndarray) -> "SymTensor2":
-        return cls(
-            ScalarField(grid, arr[0, 0]),
-            ScalarField(grid, arr[0, 1]),
-            ScalarField(grid, arr[1, 1]),
-        )
+    def from_stack(cls, grid: Grid, arr, **attrs):
+        """Copy of a component-first array; of a symmetric pair the first
+        position (arr[0, 1], not arr[1, 0]) is kept and mirrored.  attrs are
+        the subclass's other attributes (a Metric's volume)."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape != (2,) * cls._rank + (grid.n, grid.n):
+            raise ValueError(f"{cls.__name__} needs rank {cls._rank} on {grid}, got {arr.shape}")
+        obj = cls.__new__(cls)
+        obj._adopt(grid, [arr[c.positions[0]] for c in cls._components], attrs)
+        return obj
+
+    def _adopt(self, grid: Grid, values, attrs: dict):
+        arr = np.empty((2,) * self._rank + (grid.n, grid.n))
+        for comp, vals in zip(self._components, values):
+            for at in comp.positions:
+                arr[at] = vals
+        arr.setflags(write=False)
+        vars(self).update(attrs, grid=grid, _arr=arr)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks and derived state of a subclass; run by both constructors."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def stack(self) -> np.ndarray:
+        """The stored component-first array itself (read-only, not a copy)."""
+        return self._arr
+
+
+class VectorField(Tensor):
+    """Contravariant components X^1, X^2, stored as a (2, n, n) array."""
+
+    x1 = Component((0,))
+    x2 = Component((1,))
+
+
+class OneForm(Tensor):
+    """Covariant components a_1, a_2, stored as a (2, n, n) array."""
+
+    a1 = Component((0,))
+    a2 = Component((1,))
+
+
+class SymTensor2(Tensor):
+    """Symmetric covariant 2-tensor h_11, h_12 (= h_21), h_22, stored as a
+    (2, 2, n, n) array with h_12 at both off-diagonal positions."""
+
+    c11 = Component((0, 0))
+    c12 = Component((0, 1), (1, 0))
+    c22 = Component((1, 1))
 
     def max_abs(self) -> float:
-        return max(self.c11.max_abs(), self.c12.max_abs(), self.c22.max_abs())
+        return float(np.max(np.abs(self._arr)))
 
 
-@dataclass(frozen=True, eq=False)
-class ContraSymTensor2:
-    """Symmetric contravariant 2-tensor, components h^11, h^12, h^22."""
+class ContraSymTensor2(Tensor):
+    """Symmetric contravariant 2-tensor h^11, h^12, h^22, stored like SymTensor2."""
 
-    c11: ScalarField
-    c12: ScalarField
-    c22: ScalarField
-
-    def __post_init__(self):
-        _check_same_grid(self.c11, self.c12, self.c22)
-
-    @property
-    def grid(self) -> Grid:
-        return self.c11.grid
-
-    def stack(self) -> np.ndarray:
-        a, b, c = self.c11.values, self.c12.values, self.c22.values
-        return np.stack([np.stack([a, b]), np.stack([b, c])])
-
-    @classmethod
-    def from_stack(cls, grid: Grid, arr: np.ndarray) -> "ContraSymTensor2":
-        return cls(
-            ScalarField(grid, arr[0, 0]),
-            ScalarField(grid, arr[0, 1]),
-            ScalarField(grid, arr[1, 1]),
-        )
+    c11 = Component((0, 0))
+    c12 = Component((0, 1), (1, 0))
+    c22 = Component((1, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class MixedTensor:
-    """(1,1)-tensor T^i_j, four components, upper index first."""
+class MixedTensor(Tensor):
+    """(1,1)-tensor T^i_j, stored as a (2, 2, n, n) array, upper index first."""
 
-    t11: ScalarField
-    t12: ScalarField
-    t21: ScalarField
-    t22: ScalarField
-
-    def __post_init__(self):
-        _check_same_grid(self.t11, self.t12, self.t21, self.t22)
-
-    @property
-    def grid(self) -> Grid:
-        return self.t11.grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack(
-            [
-                np.stack([self.t11.values, self.t12.values]),
-                np.stack([self.t21.values, self.t22.values]),
-            ]
-        )
-
-    @classmethod
-    def from_stack(cls, grid: Grid, arr: np.ndarray) -> "MixedTensor":
-        return cls(*(ScalarField(grid, arr[i, j]) for i in range(2) for j in range(2)))
+    t11 = Component((0, 0))
+    t12 = Component((0, 1))
+    t21 = Component((1, 0))
+    t22 = Component((1, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class TwoForm:
-    """2-form w = c12 dx^dy, stored by its single coefficient."""
+class TwoForm(Tensor):
+    """2-form w = c12 dx^dy, stored by its single coefficient as an (n, n) array."""
 
-    c12: ScalarField
+    c12 = Component(())
 
-    @property
-    def grid(self) -> Grid:
-        return self.c12.grid
+
+def _ik(n: int, axis: int) -> np.ndarray:
+    """2 pi i k on the rfft2 half spectrum for d/dx (axis 1) or d/dy (axis 2);
+    the Nyquist row or column is zeroed, its odd derivative is not representable."""
+    ik = 2j * np.pi * np.fft.fftfreq(n) * n
+    ik[n // 2] = 0.0
+    return ik[:, None] if axis == 1 else ik[None, : n // 2 + 1]
 
 
 def _partial_raw(arr: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial of a stacked array (..., n, n) along x (1) or y (2)."""
     n = arr.shape[-1]
-    ik = 2j * np.pi * np.fft.fftfreq(n) * n
-    ik[n // 2] = 0.0
-    spec = np.fft.fft2(arr)
-    spec *= ik[:, None] if axis == 1 else ik[None, :]
-    return np.fft.ifft2(spec).real
+    return np.fft.irfft2(np.fft.rfft2(arr) * _ik(n, axis), s=(n, n))
 
 
 def _grad_raw(arr: np.ndarray) -> np.ndarray:
-    """Stack (d_1, d_2) of a stacked array; derivative index first."""
-    return np.stack([_partial_raw(arr, 1), _partial_raw(arr, 2)])
+    """(d_1, d_2) of a stacked array from one rfft2; derivative index first."""
+    n = arr.shape[-1]
+    spec = np.fft.rfft2(arr)
+    return np.array([np.fft.irfft2(spec * _ik(n, axis), s=(n, n)) for axis in (1, 2)])
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:

@@ -7,24 +7,24 @@ A metric is compatible when sqrt(det g) = f pointwise; then nabla mu = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (
+    Component,
     Grid,
     MixedTensor,
     OneForm,
     ScalarField,
     SymTensor2,
     ContraSymTensor2,
+    Tensor,
     TwoForm,
     VectorField,
     _check_same_grid,
     _grad_raw,
     _partial_raw,
+    constant_field,
     integrate,
-    partial,
 )
 
 EPS_12 = 1.0  # sign of eps_12; flipping it flips the sign of Omega and alpha
@@ -37,52 +37,54 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} is not finite at lattice ({i}, {j}): {values[i, j]}")
 
 
-@dataclass(frozen=True, eq=False)
-class VolumeForm:
-    """Area form mu = f dx^dy with strictly positive density f."""
+class VolumeForm(Tensor):
+    """Area form mu = f dx^dy with strictly positive density f, stored by f
+    as an (n, n) array; both constructors check that f is finite and positive."""
 
-    density: ScalarField
+    density = Component(())
 
     def __post_init__(self):
-        _check_finite("volume density", self.density.values)
-        fmin = float(np.min(self.density.values))
+        f = self.density.values
+        _check_finite("volume density", f)
+        fmin = float(np.min(f))
         if fmin <= 0.0:
-            a, b = np.unravel_index(np.argmin(self.density.values), self.density.values.shape)
+            a, b = np.unravel_index(np.argmin(f), f.shape)
             raise ValueError(f"volume density must be positive; min {fmin} at lattice ({a}, {b})")
-
-    @property
-    def grid(self) -> Grid:
-        return self.density.grid
+        mu = EPS_12 * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None] * f  # f eps_ij
+        mu.setflags(write=False)
+        vars(self)["_matrix"] = mu
 
     def total(self) -> float:
         return integrate(TwoForm(self.density))
 
     def matrix(self) -> np.ndarray:
-        """mu_ij as a (2, 2, n, n) array."""
-        f = self.density.values
-        z = np.zeros_like(f)
-        return np.stack([np.stack([z, EPS_12 * f]), np.stack([-EPS_12 * f, z])])
+        """mu_ij as a read-only (2, 2, n, n) array, built once."""
+        return self._matrix
 
 
-@dataclass(frozen=True, eq=False)
-class Metric:
+class Metric(Tensor):
     """Riemannian metric with sqrt(det g) pinned to the volume density.
 
-    Positive-definiteness is enforced at construction; compatibility is
-    guaranteed by the factories (project_compatible, metric_path) and can be
-    re-checked through compatibility_residual().
+    Stored like SymTensor2, as one (2, 2, n, n) array.  Finiteness and
+    positive-definiteness are enforced by both constructors (components and
+    Metric.from_stack(grid, arr, volume=mu)); compatibility is guaranteed by
+    the factories (project_compatible, metric_path) and can be re-checked
+    through compatibility_residual().
     """
 
-    g11: ScalarField
-    g12: ScalarField
-    g22: ScalarField
-    volume: VolumeForm
+    g11 = Component((0, 0))
+    g12 = Component((0, 1), (1, 0))
+    g22 = Component((1, 1))
+
+    def __init__(self, g11: ScalarField, g12: ScalarField, g22: ScalarField, volume: VolumeForm):
+        vars(self)["volume"] = volume
+        super().__init__(g11, g12, g22)
 
     def __post_init__(self):
-        _check_same_grid(self.g11, self.g12, self.g22, self.volume.density)
+        _check_same_grid(self, self.volume)
         for name in ("g11", "g12", "g22"):
             _check_finite(f"metric {name}", getattr(self, name).values)
-        a = self.g11.values
+        a = self._arr[0, 0]
         det = self.det_values()
         if np.min(a) <= 0.0 or np.min(det) <= 0.0:
             bad = np.argmin(np.where(a <= 0, a, det))
@@ -91,25 +93,20 @@ class Metric:
                 f"metric not positive-definite at lattice ({i}, {j}): "
                 f"g11={a[i, j]:.6g}, det={det[i, j]:.6g}"
             )
-        object.__setattr__(self, "_cache", {})
-
-    @property
-    def grid(self) -> Grid:
-        return self.g11.grid
+        vars(self)["_cache"] = {}
 
     def det_values(self) -> np.ndarray:
-        return self.g11.values * self.g22.values - self.g12.values**2
-
-    def stack(self) -> np.ndarray:
-        a, b, c = self.g11.values, self.g12.values, self.g22.values
-        return np.stack([np.stack([a, b]), np.stack([b, c])])
+        g = self._arr
+        return g[0, 0] * g[1, 1] - g[0, 1] ** 2
 
     def inverse_stack(self) -> np.ndarray:
-        """g^{ij} as a (2, 2, n, n) array."""
+        """g^{ij} as a read-only (2, 2, n, n) array."""
         if "inv" not in self._cache:
-            det = self.det_values()
-            a, b, c = self.g11.values, self.g12.values, self.g22.values
-            self._cache["inv"] = np.stack([np.stack([c, -b]), np.stack([-b, a])]) / det
+            inv = self._arr[::-1, ::-1] / self.det_values()  # [[g22, g12], [g12, g11]]
+            inv[0, 1] *= -1.0
+            inv[1, 0] *= -1.0
+            inv.setflags(write=False)
+            self._cache["inv"] = inv
         return self._cache["inv"]
 
     def compatibility_residual(self) -> float:
@@ -133,47 +130,16 @@ class Metric:
         return self._cache["ricci"]
 
 
-@dataclass(frozen=True, eq=False)
-class Christoffel:
-    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j)."""
+class Christoffel(Tensor):
+    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j), stored as
+    Gamma[k, i, j] of shape (2, 2, 2, n, n)."""
 
-    c111: ScalarField
-    c112: ScalarField
-    c122: ScalarField
-    c211: ScalarField
-    c212: ScalarField
-    c222: ScalarField
-
-    @property
-    def grid(self) -> Grid:
-        return self.c111.grid
-
-    def stack(self) -> np.ndarray:
-        """Gamma[k, i, j] of shape (2, 2, 2, n, n)."""
-        g1 = np.stack(
-            [
-                np.stack([self.c111.values, self.c112.values]),
-                np.stack([self.c112.values, self.c122.values]),
-            ]
-        )
-        g2 = np.stack(
-            [
-                np.stack([self.c211.values, self.c212.values]),
-                np.stack([self.c212.values, self.c222.values]),
-            ]
-        )
-        return np.stack([g1, g2])
-
-    @classmethod
-    def from_stack(cls, grid: Grid, arr: np.ndarray) -> "Christoffel":
-        return cls(
-            ScalarField(grid, arr[0, 0, 0]),
-            ScalarField(grid, arr[0, 0, 1]),
-            ScalarField(grid, arr[0, 1, 1]),
-            ScalarField(grid, arr[1, 0, 0]),
-            ScalarField(grid, arr[1, 0, 1]),
-            ScalarField(grid, arr[1, 1, 1]),
-        )
+    c111 = Component((0, 0, 0))
+    c112 = Component((0, 0, 1), (0, 1, 0))
+    c122 = Component((0, 1, 1))
+    c211 = Component((1, 0, 0))
+    c212 = Component((1, 0, 1), (1, 1, 0))
+    c222 = Component((1, 1, 1))
 
 
 def project_compatible(g_raw: SymTensor2, mu: VolumeForm) -> Metric:
@@ -182,31 +148,24 @@ def project_compatible(g_raw: SymTensor2, mu: VolumeForm) -> Metric:
     Returns (f / sqrt(det g_raw)) * g_raw, which has determinant f^2 exactly;
     idempotent on already compatible metrics.
     """
-    _check_same_grid(g_raw.c11, mu.density)
-    a, b, c = g_raw.c11.values, g_raw.c12.values, g_raw.c22.values
+    grid = _check_same_grid(g_raw, mu)
+    raw = g_raw.stack()
+    a, b, c = raw[0, 0], raw[0, 1], raw[1, 1]
     det = a * c - b * b
     if np.min(a) <= 0.0 or np.min(det) <= 0.0:
         bad = np.argmin(np.where(a <= 0, a, det))
         i, j = np.unravel_index(bad, a.shape)
-        x, y = i / g_raw.grid.n, j / g_raw.grid.n
+        x, y = i / grid.n, j / grid.n
         raise ValueError(
             f"input tensor not positive-definite at ({x:.4f}, {y:.4f}) "
             f"[lattice ({i}, {j})]: g11={a[i, j]:.6g}, det={det[i, j]:.6g}"
         )
     scale = mu.density.values / np.sqrt(det)
-    grid = g_raw.grid
-    return Metric(
-        ScalarField(grid, scale * a),
-        ScalarField(grid, scale * b),
-        ScalarField(grid, scale * c),
-        mu,
-    )
+    return Metric.from_stack(grid, scale * raw, volume=mu)
 
 
 def flat_metric(grid: Grid, density: float = 1.0) -> Metric:
     """Euclidean metric scaled to match a constant volume density."""
-    from .fields import constant_field
-
     mu = VolumeForm(constant_field(grid, density))
     one = constant_field(grid, density)  # det = density^2, sqrt = f
     zero = constant_field(grid, 0.0)
@@ -214,9 +173,8 @@ def flat_metric(grid: Grid, density: float = 1.0) -> Metric:
 
 
 def _christoffel_impl(g: Metric) -> Christoffel:
-    gs = g.stack()
     ginv = g.inverse_stack()
-    dg = _grad_raw(gs)  # dg[m, p, q] = d_m g_pq
+    dg = _grad_raw(g.stack())  # dg[m, p, q] = d_m g_pq
     # T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     a = dg.transpose(1, 0, 2, 3, 4)  # a[l, i, j] = d_i g_lj
     T = a + a.transpose(0, 2, 1, 3, 4) - dg
@@ -300,9 +258,7 @@ def covariant_divergence(h: ContraSymTensor2, g: Metric) -> VectorField:
     d1 = _partial_raw(hs[:, 0], 1) + _partial_raw(hs[:, 1], 2)  # d_j h^{kj}
     d2 = np.einsum("kjlab,ljab->kab", G, hs)
     d3 = np.einsum("jjlab,klab->kab", G, hs)
-    out = d1 + d2 + d3
-    grid = g.grid
-    return VectorField(ScalarField(grid, out[0]), ScalarField(grid, out[1]))
+    return VectorField.from_stack(g.grid, d1 + d2 + d3)
 
 
 def divergence_vector(Y: VectorField, g: Metric) -> ScalarField:
@@ -329,12 +285,12 @@ def raise_sym2(h: SymTensor2, g: Metric) -> ContraSymTensor2:
 
 def lower_vector(X: VectorField, g: Metric) -> OneForm:
     low = np.einsum("ijab,jab->iab", g.stack(), X.stack())
-    return OneForm(ScalarField(g.grid, low[0]), ScalarField(g.grid, low[1]))
+    return OneForm.from_stack(g.grid, low)
 
 
 def raise_oneform(a: OneForm, g: Metric) -> VectorField:
     up = np.einsum("ijab,jab->iab", g.inverse_stack(), a.stack())
-    return VectorField(ScalarField(g.grid, up[0]), ScalarField(g.grid, up[1]))
+    return VectorField.from_stack(g.grid, up)
 
 
 def l2_norm_vector(X: VectorField, g: Metric) -> float:
@@ -364,8 +320,7 @@ def complex_structure(g: Metric) -> MixedTensor:
 def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:
     """Analyst's Laplace-Beltrami operator (negative spectrum on the torus)."""
     f = g.volume.density.values
-    du = np.stack([partial(u, 1).values, partial(u, 2).values])
-    w = np.einsum("ijab,jab->iab", g.inverse_stack(), du)
+    w = np.einsum("ijab,jab->iab", g.inverse_stack(), _grad_raw(u.values))
     div = _partial_raw(f * w[0], 1) + _partial_raw(f * w[1], 2)
     return ScalarField(g.grid, div / f)
 

@@ -26,10 +26,11 @@ def _expm_sym2(arr: np.ndarray) -> np.ndarray:
     ch = np.cosh(beta)
     sc = np.where(beta > 1e-300, np.sinh(beta) / np.where(beta > 1e-300, beta, 1.0), 1.0)
     em = np.exp(m)
-    e11 = em * (ch + sc * 0.5 * (a - c))
-    e22 = em * (ch - sc * 0.5 * (a - c))
-    e12 = em * sc * b
-    return np.stack([np.stack([e11, e12]), np.stack([e12, e22])])
+    e = np.empty_like(arr)
+    e[0, 0] = em * (ch + sc * 0.5 * (a - c))
+    e[1, 1] = em * (ch - sc * 0.5 * (a - c))
+    e[0, 1] = e[1, 0] = em * sc * b
+    return e
 
 
 def random_volume_form(
@@ -47,12 +48,8 @@ def flat_volume_form(grid: Grid) -> VolumeForm:
 def random_sym_tensor(
     grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.5
 ) -> SymTensor2:
-    comps = [
-        amp * random_band_limited(grid, _child_seed(seed, tag), kmax, decay).values
-        for tag in (11, 12, 22)
-    ]
     return SymTensor2(
-        ScalarField(grid, comps[0]), ScalarField(grid, comps[1]), ScalarField(grid, comps[2])
+        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, decay) for t in (11, 12, 22))
     )
 
 
@@ -68,11 +65,7 @@ def random_compatible_metric(
     if volume is None:
         volume = flat_volume_form(grid)
     a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, decay, amp)
-    raw = _expm_sym2(a.stack())
-    g_raw = SymTensor2(
-        ScalarField(grid, raw[0, 0]), ScalarField(grid, raw[0, 1]), ScalarField(grid, raw[1, 1])
-    )
-    return project_compatible(g_raw, volume)
+    return project_compatible(SymTensor2.from_stack(grid, _expm_sym2(a.stack())), volume)
 
 
 def random_tangent(
@@ -86,11 +79,9 @@ def random_tangent(
 def random_oneform(
     grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.5
 ) -> OneForm:
-    comps = [
-        amp * random_band_limited(grid, _child_seed(seed, tag), kmax, decay).values
-        for tag in (31, 32)
-    ]
-    return OneForm(ScalarField(grid, comps[0]), ScalarField(grid, comps[1]))
+    return OneForm(
+        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, decay) for t in (31, 32))
+    )
 
 
 def random_stream(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -246,8 +247,7 @@ def suite_riemannian(config: SuiteConfig):
                       g.compatibility_residual(), 1e-10, t0)
 
         t0 = time.perf_counter()
-        gs = g.stack()
-        res = riemann.metricity_residual(g) / max(float(np.max(np.abs(gs))), 1e-30)
+        res = riemann.metricity_residual(g) / max(float(np.max(np.abs(g.stack()))), 1e-30)
         yield _record("riemannian", "metricity", seed, n, config.kmax, res, tol, t0)
 
         t0 = time.perf_counter()
@@ -846,8 +846,6 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
 
 def emit_convergence_table(report: SuiteReport, path) -> str | None:
     """Write the convergence CSV next to a report; returns the warning, if any."""
-    from pathlib import Path
-
     csv_text, warning = convergence_table(report)
     Path(path).write_text(csv_text)
     return warning

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SymTensor2, _check_same_grid
+from .fields import SymTensor2, _check_same_grid
 from .riemann import Metric, trace_sym2
 
 TRACEFREE_TOL = 1e-10
@@ -30,7 +30,7 @@ class TangentVector:
     tol: float = TRACEFREE_TOL
 
     def __post_init__(self):
-        _check_same_grid(self.h.c11, self.base.g11)
+        _check_same_grid(self.h, self.base)
         scale = self.h.max_abs()
         if scale > 0.0:
             tr = trace_sym2(self.h, self.base).max_abs()
@@ -64,14 +64,7 @@ class TangentVector:
 
 
 def _require_same_base(g: Metric, tv: TangentVector):
-    if tv.base is g:
-        return
-    same = (
-        np.array_equal(tv.base.g11.values, g.g11.values)
-        and np.array_equal(tv.base.g12.values, g.g12.values)
-        and np.array_equal(tv.base.g22.values, g.g22.values)
-    )
-    if not same:
+    if tv.base is not g and not np.array_equal(tv.base.stack(), g.stack()):
         raise ValueError("tangent vector is based at a different metric")
 
 
@@ -122,15 +115,8 @@ def metric_path(g: Metric, h: TangentVector, t: float) -> Metric:
     expo[0, 0] += ch
     expo[1, 1] += ch
     gt = np.einsum("ikab,kjab->ijab", g.stack(), expo)
-    gt01 = 0.5 * (gt[0, 1] + gt[1, 0])
-    grid = g.grid
     try:
-        return Metric(
-            ScalarField(grid, gt[0, 0]),
-            ScalarField(grid, gt01),
-            ScalarField(grid, gt[1, 1]),
-            g.volume,
-        )
+        return Metric.from_stack(g.grid, 0.5 * (gt + gt.transpose(1, 0, 2, 3)), volume=g.volume)
     except ValueError as err:
         raise ValueError(f"metric path left the positive cone at t={t}: {err}") from err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom.fields import Grid, ScalarField, TwoForm
+from torusgeom.fields import Grid, ScalarField, TwoForm, _grad_raw, _partial_raw
 
 from conftest import sup
 
@@ -44,6 +44,52 @@ def test_partial_matches_high_resolution_oracle(grid):
 def test_partial_rejects_bad_axis(grid):
     with pytest.raises(ValueError):
         tg.partial(tg.constant_field(grid, 0.0), 3)
+
+
+def complex_partial_oracle(arr, axis):
+    """The full-spectrum complex kernel the rfft2 one replaced: fft2, times
+    2 pi i k with the Nyquist entry of the differentiated axis zeroed,
+    ifft2, real part."""
+    n = arr.shape[-1]
+    ik = 2j * np.pi * np.fft.fftfreq(n) * n
+    ik[n // 2] = 0.0
+    spec = np.fft.fft2(arr)
+    spec *= ik[:, None] if axis == 1 else ik[None, :]
+    return np.fft.ifft2(spec).real
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("lead", [(), (2, 2)], ids=["scalar", "stacked"])
+def test_derivative_kernel_matches_complex_oracle(n, lead):
+    # white noise carries every mode, the Nyquist row and column included
+    arr = np.random.default_rng(n + len(lead)).standard_normal(lead + (n, n))
+    grad = _grad_raw(arr)
+    assert grad.shape == (2,) + arr.shape
+    for axis in (1, 2):
+        want = complex_partial_oracle(arr, axis)
+        tol = 1e-14 * sup(want)
+        assert sup(_partial_raw(arr, axis) - want) <= tol
+        assert sup(grad[axis - 1] - want) <= tol
+        if not lead:
+            assert sup(tg.partial(ScalarField(Grid(n), arr), axis).values - want) <= tol
+
+
+def test_scalar_field_shares_only_unwritable_input(grid):
+    frozen = np.ones((grid.n, grid.n))
+    frozen.setflags(write=False)
+    assert ScalarField(grid, frozen).values is frozen
+    base = np.ones((grid.n, grid.n))
+    view = base.view()
+    view.setflags(write=False)  # read-only, but its base is still writable
+    f = ScalarField(grid, view)
+    base[0, 0] = 5.0
+    assert f.values[0, 0] == 1.0
+    buffer = bytearray(np.ones((grid.n, grid.n)).tobytes())
+    over_buffer = np.frombuffer(buffer).reshape(grid.n, grid.n)
+    over_buffer.setflags(write=False)  # the bytearray under it stays writable
+    g = ScalarField(grid, over_buffer)
+    buffer[:8] = np.float64(5.0).tobytes()
+    assert g.values[0, 0] == 1.0
 
 
 def test_partials_commute(grid):
