@@ -251,21 +251,34 @@ def _rk4_flow(
 
 
 def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
-    """Integrate the lattice along X for time t with RK4 steps of size <= dt."""
+    """Integrate the lattice along X for time t with RK4 steps of size <= dt.
+
+    The forward flow carries the tangent map, so each stage interpolates the
+    velocity and its four first derivatives.  The derivatives are chopped at
+    the velocity's band K (their own roundoff plateau, amplified by k, would
+    keep them at the full n), and the reverse-time flow that gives the
+    inverse reuses the velocity's interpolator.  A stage at all n^2 lattice
+    points costs O(F M^2 n^2) with M = max(8, 2K + 2) < n, or the full n
+    when the band does not fit (see fields.Interpolator).
+    """
     if dt > FLOW_MAX_DT + 1e-15:
         raise ValueError(f"flow step dt={dt} exceeds the limit {FLOW_MAX_DT}")
     if dt <= 0.0:
         raise ValueError("flow step dt must be positive")
     grid = X.grid
     x1, x2 = X.vector.x1, X.vector.x2
+    velocity = Interpolator([x1, x2])
+    # the derivatives' own roundoff plateau is amplified by k; cut them at the
+    # velocity's band (the mass guard still applies)
     with_gradient = Interpolator(
-        [x1, x2, partial(x1, 1), partial(x1, 2), partial(x2, 1), partial(x2, 2)]
+        [x1, x2, partial(x1, 1), partial(x1, 2), partial(x2, 1), partial(x2, 2)],
+        band=velocity.band,
     )
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
     nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1
     fwd, jac = _rk4_flow(with_gradient, pts, t, nsteps, tangent=True)
-    inv, _ = _rk4_flow(Interpolator([x1, x2]), pts, -t, nsteps)
+    inv, _ = _rk4_flow(velocity, pts, -t, nsteps)
     det = np.linalg.det(jac).reshape(grid.n, grid.n)
     phi = DiscreteDiffeo(
         grid,

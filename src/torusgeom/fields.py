@@ -310,43 +310,140 @@ def random_band_limited(
     return ScalarField(grid, values)
 
 
+# The chop, declared once.  A field keeps its Fourier mode k when |c_k| >
+# CHOP_TOL * max|c| of that field; K is the largest |k|_inf kept over the field
+# set.  Every dropped mode lies outside the |k|_inf <= K box, and the l1 mass
+# sum |c_k| of the dropped modes bounds the pointwise change of the
+# interpolant.  Above CHOP_MASS_LIMIT * max|f| for any field the full band is
+# kept.
+CHOP_TOL = 1e-14
+CHOP_MASS_LIMIT = 1e-11
+# points per evaluation block: the (nfields * M, POINT_BLOCK) temporary stays small
+POINT_BLOCK = 1024
+
+
+def _y_weight(n: int, scale: float = 1.0) -> np.ndarray:
+    """scale per rfft2 column, doubled on the interior columns, which stand
+    for the conjugate -q columns too."""
+    w = np.full(n // 2 + 1, 2.0 * scale)
+    w[[0, -1]] = scale
+    return w
+
+
+def _chop_band(mag: np.ndarray) -> int:
+    """K of the half-spectrum magnitudes mag (F, n, n/2+1): the largest
+    |k|_inf of a mode above CHOP_TOL times its field's largest."""
+    n = mag.shape[1]
+    row_max, col_max = mag.max(axis=2), mag.max(axis=1)
+    floor = CHOP_TOL * row_max.max(axis=1, keepdims=True)
+    rows = np.flatnonzero((row_max > floor).any(axis=0))
+    cols = np.flatnonzero((col_max > floor).any(axis=0))
+    return int(max(np.minimum(rows, n - rows).max(initial=0), cols.max(initial=0)))
+
+
+def _dropped_mass(mag: np.ndarray, band: int) -> np.ndarray:
+    """l1 mass per field of the modes outside |k|_inf <= band."""
+    n = mag.shape[1]
+    w = _y_weight(n)
+    outer = (mag[:, band + 1 : n - band] @ w).sum(axis=1)  # |p| > band
+    for rows in (slice(0, band + 1), slice(n - band, n)):  # |p| <= band, q > band
+        outer += (mag[:, rows, band + 1 :] @ w[band + 1 :]).sum(axis=1)
+    return outer
+
+
+def _fold(c: np.ndarray, scale: float) -> np.ndarray:
+    """Real (F*n, n) coefficient matrix of scale times an rfft2 half spectrum
+    (F, n, n/2+1), y basis index major within each field; c is overwritten.
+
+    x rows: d = c_0, c_p + c_-p (cos, p = 1..h-1), c_h (cos), i (c_p - c_-p)
+    (sin); y columns of each row d: Re(d e^{2 pi i q y}) = Re d cos - Im d
+    sin, the Nyquist mode a cosine.  Each block is written straight into the
+    transposed (field, y basis, x basis) layout, so that one product with
+    the x basis leaves a (field, y basis, point) array.
+    """
+    nfields, n = c.shape[:2]
+    h = n // 2
+    c *= _y_weight(n, scale)  # y modes q and -q share one column
+    re, im = c.real, c.imag
+    out = np.empty((nfields, n, n))
+    rows = out.transpose(0, 2, 1)  # [field, x basis, y basis]
+    for p in (0, h):
+        rows[:, p, : h + 1] = re[:, p]
+        np.negative(im[:, p, 1:h], out=rows[:, p, h + 1 :])
+    cos_x, sin_x = rows[:, 1:h], rows[:, h + 1 :]
+    np.add(re[:, 1:h], re[:, :h:-1], out=cos_x[:, :, : h + 1])
+    np.add(im[:, 1:h, 1:h], im[:, :h:-1, 1:h], out=cos_x[:, :, h + 1 :])
+    np.negative(cos_x[:, :, h + 1 :], out=cos_x[:, :, h + 1 :])
+    np.subtract(im[:, :h:-1], im[:, 1:h], out=sin_x[:, :, : h + 1])
+    np.subtract(re[:, :h:-1, 1:h], re[:, 1:h, 1:h], out=sin_x[:, :, h + 1 :])
+    return out.reshape(nfields * n, n)
+
+
 class Interpolator:
     """Trigonometric interpolation of one or more fields at arbitrary points.
 
-    The Fourier coefficients are folded once into a real (nfields*n, n)
-    matrix over the real basis 1, cos 2 pi k t (k = 1..n/2), sin 2 pi k t
-    (k = 1..n/2-1) on each axis: the y half-spectrum comes from rfft2 with
-    its interior columns doubled, and the +-p pairs in x fold into cosine
-    and sine rows.  The Nyquist mode is a cosine on both axes, so the
-    interpolant is real and reproduces the lattice samples.  Evaluation at
-    m points is one real (nfields*n x n) @ (n x m) product plus an
-    O(nfields n m) contraction with the y basis.
+    The field set is chopped at its roundoff plateau (CHOP_TOL): with K the
+    largest |k|_inf kept, the |p|, q <= K block of the rfft2 half spectrum is
+    copied exactly into the half spectrum of the smallest even grid M =
+    max(8, 2K + 2), whose Nyquist modes are then zero.  A given band sets K
+    instead (flow passes the velocity's band to its derivatives).  When M >=
+    n, or the dropped l1 mass exceeds CHOP_MASS_LIMIT * max|f|, the full band
+    is kept and M = n.  band, eval_n and dropped report K, M and that mass.
+
+    The coefficients are folded once into a real (nfields*M, M) matrix over
+    the real basis 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
+    on each axis: interior y columns doubled, the +-p pairs in x folded into
+    cosine and sine rows, the Nyquist mode a cosine on both axes, so the
+    interpolant is real and reproduces the lattice samples.  Points are
+    evaluated in blocks of POINT_BLOCK; each block is one real
+    (nfields*M x M) @ (M x block) product plus an O(nfields M block)
+    contraction with the y basis.
     """
 
-    def __init__(self, fields):
+    def __init__(self, fields, band: int | None = None):
         fields = list(fields)
         self.grid = _check_same_grid(*fields)
-        n, h = self.grid.n, self.grid.n // 2
+        n = self.grid.n
         self._nfields = len(fields)
-        c = np.fft.rfft2(np.stack([f.values for f in fields])) / (n * n)
-        c[:, :, 1:h] *= 2.0  # y modes q and -q share one column
-        # x rows: c_0, c_p + c_-p (cos, p = 1..h-1), c_h (cos), i (c_p - c_-p) (sin)
-        d = np.empty((self._nfields, n, h + 1), dtype=complex)
-        d[:, : h + 1] = c[:, : h + 1]
-        d[:, 1:h] += c[:, :h:-1]
-        d[:, h + 1 :] = 1j * (c[:, 1:h] - c[:, :h:-1])
-        # y columns: Re(d e^{2 pi i q y}) = Re d cos - Im d sin; Nyquist as cosine
-        folded = np.concatenate([d.real, -d.imag[:, :, 1:h]], axis=2)
-        # (field, y basis, x basis) so that one product with the x basis
-        # leaves a (field, y basis, point) array
-        self._packed = np.ascontiguousarray(
-            folded.transpose(0, 2, 1).reshape(self._nfields * n, n)
-        )
+        samples = np.stack([f.values for f in fields])
+        c = np.fft.rfft2(samples)  # n^2 times the Fourier coefficients
+        mag = np.abs(c)
+        k = _chop_band(mag) if band is None else band
+        m = max(8, 2 * k + 2)  # even, and K stays below its Nyquist mode
+        dropped = 0.0
+        if m < n:
+            peak = np.abs(samples).max(axis=(1, 2)) * (n * n)
+            mass = _dropped_mass(mag, k) / np.maximum(peak, np.finfo(float).tiny)
+            dropped = float(mass.max())
+        if m >= n or dropped > CHOP_MASS_LIMIT:
+            k, m, dropped = n // 2, n, 0.0
+        else:
+            kept = np.zeros((self._nfields, m, m // 2 + 1), dtype=complex)
+            kept[:, : k + 1, : k + 1] = c[:, : k + 1, : k + 1]
+            kept[:, m - k :, : k + 1] = c[:, n - k :, : k + 1]
+            c = kept
+        self._band, self._eval_n, self._dropped = k, m, dropped
+        self._packed = _fold(c, 1.0 / (n * n))
+
+    @property
+    def band(self) -> int:
+        """K, the largest |k|_inf evaluated (n/2 on the full band)."""
+        return self._band
+
+    @property
+    def eval_n(self) -> int:
+        """M, the grid size the evaluator runs on."""
+        return self._eval_n
+
+    @property
+    def dropped(self) -> float:
+        """l1 mass of the dropped modes over max|f|, the worst field's."""
+        return self._dropped
 
     def _basis(self, coords: np.ndarray) -> np.ndarray:
-        # (n, m) rows 1, cos 2 pi k t (k = 1..n/2), sin 2 pi k t (k = 1..n/2-1)
+        # (M, m) rows 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
         # from z^k = z^(k-1) z, one contiguous row per step
-        h = self.grid.n // 2
+        h = self._eval_n // 2
         z = np.exp(2j * np.pi * coords)
         e = np.empty((h + 1, coords.shape[0]), dtype=complex)
         e[0] = 1.0
@@ -357,9 +454,13 @@ class Interpolator:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all fields at points of shape (m, 2); returns (nfields, m)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n, m = self.grid.n, pts.shape[0]
-        tmp = (self._packed @ self._basis(pts[:, 0])).reshape(self._nfields, n, m)
-        return np.einsum("flm,lm->fm", tmp, self._basis(pts[:, 1]))
+        out = np.empty((self._nfields, pts.shape[0]))
+        for lo in range(0, pts.shape[0], POINT_BLOCK):
+            block = slice(lo, lo + POINT_BLOCK)
+            x, y = pts[block].T
+            tmp = (self._packed @ self._basis(x)).reshape(self._nfields, self._eval_n, x.size)
+            np.einsum("flm,lm->fm", tmp, self._basis(y), out=out[:, block])
+        return out
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:

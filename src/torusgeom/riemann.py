@@ -125,8 +125,11 @@ class Metric(Tensor):
         return self._cache["scal"]
 
     def ricci_stack(self) -> np.ndarray:
+        """R_ij as a read-only (2, 2, n, n) array."""
         if "ricci" not in self._cache:
-            self._cache["ricci"] = _ricci_impl(self)
+            ric = _ricci_impl(self)
+            ric.setflags(write=False)
+            self._cache["ricci"] = ric
         return self._cache["ricci"]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import sampling
+from torusgeom import diffeo, fields, sampling
 from torusgeom.diffeo import FLOW_MAX_DT, DiscreteDiffeo
 from torusgeom.fields import OneForm
 
@@ -49,6 +49,53 @@ def test_flow_result_is_read_only_and_volume_defect_cached(grid, monkeypatch):
     for arr in (phi.forward, phi.inverse, phi.det_forward):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] += 1.0
+
+
+def _recording_interpolators(monkeypatch):
+    built = []
+
+    class Recording(fields.Interpolator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls = 0
+            built.append(self)
+
+        def __call__(self, points):
+            self.calls += 1
+            return super().__call__(points)
+
+    monkeypatch.setattr(diffeo, "Interpolator", Recording)
+    return built
+
+
+def test_flat_density_flow_runs_both_velocity_interpolators_at_the_velocity_band(
+    grid, flat, monkeypatch
+):
+    built = _recording_interpolators(monkeypatch)
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 45), (0.3, -0.2), flat.volume)
+    assert tg.Interpolator([X.vector.x1, X.vector.x2]).eval_n == 10  # kmax = 4
+    tg.flow(X, 2e-2, 5e-3)
+    velocity = [i for i in built if i._nfields == 2]
+    with_gradient = [i for i in built if i._nfields == 6]
+    # one velocity interpolator serves the reverse flow: 4 steps, 4 stages
+    assert len(velocity) == len(with_gradient) == 1
+    assert velocity[0].calls == with_gradient[0].calls == 16
+    assert velocity[0].eval_n == with_gradient[0].eval_n == 10
+    assert with_gradient[0].dropped <= fields.CHOP_MASS_LIMIT
+
+
+@pytest.mark.parametrize("density_seed", [None, 46])
+def test_chopped_flow_matches_the_full_band_flow(grid, monkeypatch, density_seed):
+    vol = (sampling.flat_volume_form(grid) if density_seed is None
+           else sampling.random_volume_form(grid, density_seed))
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 47), (0.1, 0.2), vol)
+    chopped = tg.flow(X, 2e-2, 5e-3)
+    monkeypatch.setattr(fields, "CHOP_MASS_LIMIT", -1.0)  # every chop falls back
+    assert tg.Interpolator([X.vector.x1]).eval_n == grid.n
+    full = tg.flow(X, 2e-2, 5e-3)
+    for a, b in [(chopped.forward, full.forward), (chopped.inverse, full.inverse),
+                 (chopped.det_forward, full.det_forward)]:
+        assert sup(a - b) <= 1e-13
 
 
 def test_fundamental_vector_of_zero_field(grid):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
+from torusgeom import fields
 from torusgeom.fields import Grid, ScalarField, TwoForm, _grad_raw, _partial_raw
 
 from conftest import sup
@@ -257,6 +258,111 @@ def test_interpolator_single_point_matches_oracle(n):
     for point in [(-0.37, 1.61), (0.0, 0.0), (2.3, -1.2)]:
         _assert_matches_oracle(fields, point)
         _assert_matches_oracle(fields, [point])
+
+
+def _band_plus_tail(n, band, tail):
+    """cos 2 pi (band x + y) (every |c| = 1/2, max|f| = 1) plus modes of
+    magnitude tail / 2 and random phase at every |k|_inf > band."""
+    rng = np.random.default_rng(n + band)
+    k = np.arange(n)
+    kinf = np.maximum(np.minimum(k, n - k)[:, None], k[None, : n // 2 + 1])
+    spec = 0.5 * tail * np.exp(2j * np.pi * rng.random((n, n // 2 + 1))) * (kinf > band)
+    X, Y = Grid(n).meshes()
+    values = np.cos(2 * np.pi * (band * X + Y)) + np.fft.irfft2(spec, s=(n, n)) * n * n
+    return ScalarField(Grid(n), values)
+
+
+def _dropped_mass(f, band):
+    """l1 mass of the full fft2 spectrum outside |k|_inf <= band, over max|f|."""
+    n = f.grid.n
+    k = np.abs(np.fft.fftfreq(n) * n)
+    outside = np.maximum(k[:, None], k[None, :]) > band
+    return np.abs(np.fft.fft2(f.values) / n**2)[outside].sum() / f.max_abs()
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_white_noise_keeps_the_full_band(n):
+    rng = np.random.default_rng(n)
+    interp = tg.Interpolator([ScalarField(Grid(n), rng.standard_normal((n, n)))])
+    assert (interp.band, interp.eval_n, interp.dropped) == (n // 2, n, 0.0)
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 4, 12])
+def test_band_limited_field_plus_roundoff_noise_chops_to_its_band(kmax):
+    grid = Grid(64)
+    f = tg.random_band_limited(grid, kmax, kmax, 0.8)
+    noise = 1e-17 * f.max_abs() * np.random.default_rng(kmax).standard_normal((64, 64))
+    interp = tg.Interpolator([f, ScalarField(grid, f.values + noise)])
+    assert interp.band == kmax
+    assert interp.eval_n == max(8, 2 * kmax + 2)
+    assert interp.dropped <= 1e-14
+    diff = sup(interp(_ORACLE_POINTS) - full_spectrum_oracle([f, f], _ORACLE_POINTS))
+    assert diff <= (interp.dropped + 1e-14) * f.max_abs()
+
+
+def test_chop_keeps_a_mode_just_above_the_threshold():
+    grid = Grid(64)
+    X, Y = grid.meshes()
+    base = np.cos(2 * np.pi * (3 * X + Y))  # max|c| = 1/2
+    for amp, band in [(2.0 * fields.CHOP_TOL, 20), (0.5 * fields.CHOP_TOL, 3)]:
+        f = ScalarField(grid, base + amp * np.cos(2 * np.pi * 20 * Y))
+        assert tg.Interpolator([f]).band == band
+    # each field is chopped against its own largest coefficient
+    tiny = ScalarField(grid, 1e-15 * np.cos(2 * np.pi * 20 * Y))
+    assert tg.Interpolator([ScalarField(grid, base), tiny]).band == 20
+
+
+def test_chopped_evaluator_within_the_dropped_mass_bound():
+    f = _band_plus_tail(32, 3, 0.5 * fields.CHOP_TOL)
+    interp = tg.Interpolator([f])
+    assert (interp.band, interp.eval_n) == (3, 8)
+    assert 1e-12 < interp.dropped <= fields.CHOP_MASS_LIMIT
+    assert interp.dropped == pytest.approx(_dropped_mass(f, 3), rel=1e-3, abs=0.0)
+    diff = sup(interp(_ORACLE_POINTS) - full_spectrum_oracle([f], _ORACLE_POINTS))
+    assert diff <= (interp.dropped + 1e-14) * f.max_abs()
+
+
+def test_dropped_mass_above_the_limit_keeps_the_full_band():
+    f = _band_plus_tail(64, 3, 0.9 * fields.CHOP_TOL)
+    assert _dropped_mass(f, 3) > fields.CHOP_MASS_LIMIT
+    interp = tg.Interpolator([f])
+    assert (interp.band, interp.eval_n, interp.dropped) == (32, 64, 0.0)
+    _assert_matches_oracle([f], _ORACLE_POINTS)
+
+
+def test_given_band_is_used_and_guarded():
+    f = _band_plus_tail(32, 3, 0.5 * fields.CHOP_TOL)
+    assert tg.Interpolator([f], band=5).eval_n == 12
+    wide = ScalarField(Grid(32), np.random.default_rng(1).standard_normal((32, 32)))
+    assert tg.Interpolator([wide], band=5).eval_n == 32
+
+
+@pytest.mark.parametrize("count", ["0", "1", "block-1", "block", "block+1"])
+@pytest.mark.parametrize("full", [False, True], ids=["chopped", "full"])
+def test_blocked_evaluation_equals_one_shot(monkeypatch, count, full):
+    m = {"0": 0, "1": 1, "block-1": fields.POINT_BLOCK - 1, "block": fields.POINT_BLOCK,
+         "block+1": fields.POINT_BLOCK + 1}[count]
+    grid = Grid(64)
+    fs = [tg.random_band_limited(grid, seed, 4, 0.9) for seed in range(3)]
+    if full:
+        fs.append(ScalarField(grid, np.random.default_rng(5).standard_normal((64, 64))))
+    interp = tg.Interpolator(fs)
+    assert interp.eval_n == (64 if full else 10)
+    pts = np.random.default_rng(m).uniform(-1.5, 2.5, (m, 2))
+    blocked = interp(pts)
+    monkeypatch.setattr(fields, "POINT_BLOCK", m + 1)
+    one_shot = interp(pts)
+    assert blocked.shape == one_shot.shape == (len(fs), m)
+    assert np.all(np.abs(blocked - one_shot) <= 1e-15 * max(f.max_abs() for f in fs))
+
+
+def test_chopped_interpolant_reproduces_every_lattice_sample(grid):
+    f = tg.random_band_limited(grid, 13, 12, 0.7)
+    interp = tg.Interpolator([f])
+    assert interp.eval_n == 26
+    X, Y = grid.meshes()
+    got = interp(np.column_stack([X.ravel(), Y.ravel()]))[0].reshape(grid.n, grid.n)
+    assert sup(got - f.values) <= 1e-13
 
 
 def test_region_integral_closed_form(grid):

@@ -197,3 +197,13 @@ def test_christoffel_and_inverse_are_read_only():
     for arr in (g.inverse_stack(), g.christoffel().stack()):
         with pytest.raises(ValueError):
             arr[(0,) * (arr.ndim - 2)] = 0.0
+
+
+def test_ricci_cache_is_read_only():
+    g = sampling.random_compatible_metric(tg.Grid(64), 3)
+    before = tg.ricci_relation_residual(g)
+    ric = g.ricci_stack()
+    assert g.ricci_stack() is ric
+    with pytest.raises(ValueError):
+        ric[0, 0] += 1.0
+    assert tg.ricci_relation_residual(g) == before
