@@ -30,7 +30,7 @@ from .fields import (
     ScalarField,
     TwoForm,
     VectorField,
-    _partial_raw,
+    _derivatives,
     constant_field,
     integrate,
 )
@@ -177,11 +177,11 @@ def connection_alpha(g: Metric, h: TangentVector) -> OneForm:
 
 def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
     """Pointwise defect (d alpha)_12 + f * nabla_k nabla_l h^{kl}; ~0 always."""
-    alpha = connection_alpha(g, h)
-    divdiv = divergence_vector(covariant_divergence(raise_sym2(h.h, g), g), g)
-    dalpha = _partial_raw(alpha.a2.values, 1) - _partial_raw(alpha.a1.values, 2)
+    y = covariant_divergence(raise_sym2(h.h, g), g)  # nabla_j h^{kj}, built once
     f = g.volume.density.values
-    return ScalarField(g.grid, dalpha + f * divdiv.values)
+    # alpha = (f y^2, -f y^1), so d alpha = d_1 alpha_2 - d_2 alpha_1 = -div(f y)
+    dalpha = -_derivatives(f * y.stack(), summed=True)
+    return ScalarField(g.grid, dalpha + f * divergence_vector(y, g).values)
 
 
 def divergence_identity_defect(g: Metric, Y) -> TwoForm:

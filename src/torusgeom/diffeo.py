@@ -21,13 +21,12 @@ from .fields import (
     SymTensor2,
     VectorField,
     _as_float_array,
-    _grad_raw,
-    _partial_raw,
-    partial,
+    _derivatives,
 )
 from .riemann import (
     Metric,
     VolumeForm,
+    _check_finite,
     cov_deriv_vector,
     covariant_divergence,
     metric_lie_derivative,
@@ -49,9 +48,14 @@ class DivFreeField:
     volume: VolumeForm
 
     def __post_init__(self):
-        if abs(self.stream.mean()) > 1e-12 * max(self.stream.max_abs(), 1.0):
+        scale = self.stream.max_abs()
+        if not np.isfinite(scale):
+            _check_finite("stream function", self.stream.values)
+        if not np.isfinite(self.harmonic).all():
+            raise ValueError(f"harmonic part is not finite: {self.harmonic}")
+        if abs(self.stream.mean()) > 1e-12 * max(scale, 1.0):
             raise ValueError("stream function must have zero mean")
-        flux = _grad_raw(self.stream.values) + np.array(self.harmonic)[:, None, None]
+        flux = _derivatives(self.stream.values) + np.array(self.harmonic)[:, None, None]
         # X^1 = flux_2 / f, X^2 = -flux_1 / f
         vec = np.array([1.0, -1.0])[:, None, None] * flux[::-1] / self.volume.density.values
         object.__setattr__(self, "vector", VectorField.from_stack(self.grid, vec))
@@ -63,7 +67,7 @@ class DivFreeField:
 
     def closedness_residual(self) -> float:
         """sup |d(X . mu)|; zero up to the spectral commutator."""
-        d = _partial_raw(self._flux[1], 1) - _partial_raw(self._flux[0], 2)
+        d = _derivatives(np.stack([self._flux[1], -self._flux[0]]), summed=True)
         return float(np.max(np.abs(d)))
 
     def scaled(self, c: float) -> "DivFreeField":
@@ -79,7 +83,7 @@ def div_free_from_stream(
     """Build the unique X with X . mu = d(psi) + harmonic_1 dx + harmonic_2 dy."""
     field = DivFreeField(psi, (float(harmonic[0]), float(harmonic[1])), mu)
     res = field.closedness_residual()
-    if res > 1e-11 * max(psi.max_abs(), abs(harmonic[0]), abs(harmonic[1]), 1.0):
+    if not res <= 1e-11 * max(psi.max_abs(), abs(harmonic[0]), abs(harmonic[1]), 1.0):
         raise ValueError(f"divergence-free reconstruction failed: d(X.mu) = {res:.3e}")
     return field
 
@@ -173,7 +177,7 @@ class DiscreteDiffeo:
     def _jacobian(self, samples: np.ndarray) -> np.ndarray:
         """D of the sampled map as [k, i] = d_i (map)^k, from spectral
         derivatives of its displacement."""
-        grad = _grad_raw(samples - self._mesh())  # [i, k]
+        grad = _derivatives(samples - self._mesh())  # [i, k]
         return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -261,6 +265,9 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     points costs O(F M^2 n^2) with M = max(8, 2K + 2) < n, or the full n
     when the band does not fit (see fields.Interpolator).
     """
+    for name, value in (("t", t), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"flow {name} must be finite, got {value}")
     if dt > FLOW_MAX_DT + 1e-15:
         raise ValueError(f"flow step dt={dt} exceeds the limit {FLOW_MAX_DT}")
     if dt <= 0.0:
@@ -270,10 +277,12 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     velocity = Interpolator([x1, x2])
     # the derivatives' own roundoff plateau is amplified by k; cut them at the
     # velocity's band (the mass guard still applies)
+    grad = _derivatives(X.vector.stack())  # [i, k] = d_i X^k
     with_gradient = Interpolator(
-        [x1, x2, partial(x1, 1), partial(x1, 2), partial(x2, 1), partial(x2, 2)],
+        [x1, x2] + [ScalarField(grid, grad[i, k]) for k in (0, 1) for i in (0, 1)],
         band=velocity.band,
     )
+    del grad  # not kept through the RK4 loops
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
     nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1

@@ -8,6 +8,7 @@ band-limited data and spectrally accurate for analytic data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,25 +240,33 @@ class TwoForm(Tensor):
     c12 = Component(())
 
 
+@functools.cache
 def _ik(n: int, axis: int) -> np.ndarray:
-    """2 pi i k on the rfft2 half spectrum for d/dx (axis 1) or d/dy (axis 2);
-    the Nyquist row or column is zeroed, its odd derivative is not representable."""
+    """2 pi i k on the rfft2 half spectrum for d/dx (axis 1) or d/dy (axis 2),
+    built once per (n, axis), read-only; the Nyquist row or column is zeroed,
+    its odd derivative is not representable."""
     ik = 2j * np.pi * np.fft.fftfreq(n) * n
     ik[n // 2] = 0.0
-    return ik[:, None] if axis == 1 else ik[None, : n // 2 + 1]
+    ik = ik[:, None] if axis == 1 else ik[None, : n // 2 + 1]
+    ik.setflags(write=False)
+    return ik
 
 
-def _partial_raw(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral partial of a stacked array (..., n, n) along x (1) or y (2)."""
-    n = arr.shape[-1]
-    return np.fft.irfft2(np.fft.rfft2(arr) * _ik(n, axis), s=(n, n))
-
-
-def _grad_raw(arr: np.ndarray) -> np.ndarray:
-    """(d_1, d_2) of a stacked array from one rfft2; derivative index first."""
+def _derivatives(arr: np.ndarray, axes=(1, 2), summed: bool = False) -> np.ndarray:
+    """The one derivative kernel: one rfft2 of the stack arr (..., n, n) and one
+    irfft2 per output.  The outputs are d_a arr for a in axes, stacked first;
+    summed, they are the single sum_i d_{axes[i]} arr[i] over the leading
+    index of arr, added in place on the half spectrum: a divergence, or with
+    arr = (a2, -a1) the curl d_1 a2 - d_2 a1."""
     n = arr.shape[-1]
     spec = np.fft.rfft2(arr)
-    return np.array([np.fft.irfft2(spec * _ik(n, axis), s=(n, n)) for axis in (1, 2)])
+    if not summed:
+        return np.array([np.fft.irfft2(spec * _ik(n, a), s=(n, n)) for a in axes])
+    for s, a in zip(spec, axes):
+        s *= _ik(n, a)
+    for s in spec[1:]:
+        spec[0] += s
+    return np.fft.irfft2(spec[0], s=(n, n))
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:
@@ -268,7 +277,7 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return ScalarField(f.grid, _partial_raw(f.values, axis))
+    return ScalarField(f.grid, _derivatives(f.values, (axis,))[0])
 
 
 def integrate(w: TwoForm) -> float:

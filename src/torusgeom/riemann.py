@@ -21,8 +21,7 @@ from .fields import (
     TwoForm,
     VectorField,
     _check_same_grid,
-    _grad_raw,
-    _partial_raw,
+    _derivatives,
     constant_field,
     integrate,
 )
@@ -69,7 +68,9 @@ class Metric(Tensor):
     positive-definiteness are enforced by both constructors (components and
     Metric.from_stack(grid, arr, volume=mu)); compatibility is guaranteed by
     the factories (project_compatible, metric_path) and can be re-checked
-    through compatibility_residual().
+    through compatibility_residual().  Derived data is computed on first use
+    and cached read-only: inverse_stack (g^ij), gradient_stack (d_m g_pq),
+    christoffel, scalar_curvature and ricci_stack.
     """
 
     g11 = Component((0, 0))
@@ -99,15 +100,22 @@ class Metric(Tensor):
         g = self._arr
         return g[0, 0] * g[1, 1] - g[0, 1] ** 2
 
+    def _cached(self, key: str, build):
+        """build(self), computed on first use; an array result is made read-only."""
+        if key not in self._cache:
+            value = build(self)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
     def inverse_stack(self) -> np.ndarray:
         """g^{ij} as a read-only (2, 2, n, n) array."""
-        if "inv" not in self._cache:
-            inv = self._arr[::-1, ::-1] / self.det_values()  # [[g22, g12], [g12, g11]]
-            inv[0, 1] *= -1.0
-            inv[1, 0] *= -1.0
-            inv.setflags(write=False)
-            self._cache["inv"] = inv
-        return self._cache["inv"]
+        return self._cached("inv", _inverse_impl)
+
+    def gradient_stack(self) -> np.ndarray:
+        """d_m g_pq as a read-only (2, 2, 2, n, n) array, derivative index first."""
+        return self._cached("grad", lambda g: _derivatives(g.stack()))
 
     def compatibility_residual(self) -> float:
         """sup |sqrt(det g) - f| / sup |f|."""
@@ -115,22 +123,14 @@ class Metric(Tensor):
         return float(np.max(np.abs(np.sqrt(self.det_values()) - f)) / np.max(np.abs(f)))
 
     def christoffel(self) -> "Christoffel":
-        if "gamma" not in self._cache:
-            self._cache["gamma"] = _christoffel_impl(self)
-        return self._cache["gamma"]
+        return self._cached("gamma", _christoffel_impl)
 
     def scalar_curvature(self) -> ScalarField:
-        if "scal" not in self._cache:
-            self._cache["scal"] = _scalar_curvature_impl(self)
-        return self._cache["scal"]
+        return self._cached("scal", _scalar_curvature_impl)
 
     def ricci_stack(self) -> np.ndarray:
         """R_ij as a read-only (2, 2, n, n) array."""
-        if "ricci" not in self._cache:
-            ric = _ricci_impl(self)
-            ric.setflags(write=False)
-            self._cache["ricci"] = ric
-        return self._cache["ricci"]
+        return self._cached("ricci", _ricci_impl)
 
 
 class Christoffel(Tensor):
@@ -175,13 +175,21 @@ def flat_metric(grid: Grid, density: float = 1.0) -> Metric:
     return Metric(one, zero, one, mu)
 
 
+def _inverse_impl(g: Metric) -> np.ndarray:
+    inv = g.stack()[::-1, ::-1] / g.det_values()  # [[g22, g12], [g12, g11]]
+    inv[0, 1] *= -1.0
+    inv[1, 0] *= -1.0
+    return inv
+
+
 def _christoffel_impl(g: Metric) -> Christoffel:
     ginv = g.inverse_stack()
-    dg = _grad_raw(g.stack())  # dg[m, p, q] = d_m g_pq
-    # T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
+    dg = g.gradient_stack()  # dg[m, p, q] = d_m g_pq
+    # Gamma^k_ij = g^kl T[l, i, j] / 2, T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij;
+    # T is a temporary, freed before the result is copied
     a = dg.transpose(1, 0, 2, 3, 4)  # a[l, i, j] = d_i g_lj
-    T = a + a.transpose(0, 2, 1, 3, 4) - dg
-    gamma = 0.5 * np.einsum("klab,lijab->kijab", ginv, T)
+    gamma = np.einsum("klab,lijab->kijab", ginv, a + a.transpose(0, 2, 1, 3, 4) - dg)
+    gamma *= 0.5
     return Christoffel.from_stack(g.grid, gamma)
 
 
@@ -194,7 +202,7 @@ def metricity_residual(g: Metric) -> float:
     """sup |nabla_k g_ij| over all components; ~0 certifies Levi-Civita."""
     gs = g.stack()
     G = g.christoffel().stack()
-    dg = _grad_raw(gs)
+    dg = g.gradient_stack()
     corr = np.einsum("lkiab,ljab->kijab", G, gs) + np.einsum("lkjab,ilab->kijab", G, gs)
     return float(np.max(np.abs(dg - corr)))
 
@@ -202,13 +210,12 @@ def metricity_residual(g: Metric) -> float:
 def _scalar_curvature_impl(g: Metric) -> ScalarField:
     G = g.christoffel().stack()
     # R^l_{212} = d_1 Gamma^l_22 - d_2 Gamma^l_12 + Gamma^l_1m Gamma^m_22
-    #             - Gamma^l_2m Gamma^m_12
-    d1_g22 = _partial_raw(G[:, 1, 1], 1)
-    d2_g12 = _partial_raw(G[:, 0, 1], 2)
+    #             - Gamma^l_2m Gamma^m_12; the two derivatives are one curl
+    curl = _derivatives(np.stack([G[:, 1, 1], -G[:, 0, 1]]), summed=True)
     quad = np.einsum("lmab,mab->lab", G[:, 0], G[:, 1, 1]) - np.einsum(
         "lmab,mab->lab", G[:, 1], G[:, 0, 1]
     )
-    r_up = d1_g22 - d2_g12 + quad
+    r_up = curl + quad
     r1212 = g.g11.values * r_up[0] + g.g12.values * r_up[1]
     return ScalarField(g.grid, 2.0 * r1212 / g.det_values())
 
@@ -222,9 +229,9 @@ def _ricci_impl(g: Metric) -> np.ndarray:
     G = g.christoffel().stack()
     # R_kj = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_im Gamma^m_jk
     #        - Gamma^i_jm Gamma^m_ik   (every term symmetric in j, k)
-    term1 = _partial_raw(G[0], 1) + _partial_raw(G[1], 2)  # d_i Gamma^i_jk
+    term1 = _derivatives(G, summed=True)  # d_i Gamma^i_jk
     trG = np.einsum("iimab->mab", G)  # Gamma^i_im
-    term2 = _grad_raw(trG)  # d_j Gamma^i_ik at [j, k]
+    term2 = _derivatives(trG)  # d_j Gamma^i_ik at [j, k]
     term3 = np.einsum("mab,mjkab->jkab", trG, G)
     term4 = np.einsum("ijmab,mikab->kjab", G, G)
     return term1 - term2 + term3 - term4
@@ -242,7 +249,7 @@ def cov_deriv_vector(X: VectorField, g: Metric) -> np.ndarray:
     """nabla_i X^k as array [i, k]."""
     Xs = X.stack()
     G = g.christoffel().stack()
-    dX = _grad_raw(Xs)  # [i, k]
+    dX = _derivatives(Xs)  # [i, k]
     return dX + np.einsum("kilab,lab->ikab", G, Xs)
 
 
@@ -250,7 +257,7 @@ def cov_deriv_oneform(b: OneForm, g: Metric) -> np.ndarray:
     """nabla_i b_j as array [i, j]."""
     bs = b.stack()
     G = g.christoffel().stack()
-    db = _grad_raw(bs)  # [i, j]
+    db = _derivatives(bs)  # [i, j]
     return db - np.einsum("lijab,lab->ijab", G, bs)
 
 
@@ -258,7 +265,7 @@ def covariant_divergence(h: ContraSymTensor2, g: Metric) -> VectorField:
     """nabla_j h^{kj} for a symmetric contravariant 2-tensor."""
     hs = h.stack()
     G = g.christoffel().stack()
-    d1 = _partial_raw(hs[:, 0], 1) + _partial_raw(hs[:, 1], 2)  # d_j h^{kj}
+    d1 = _derivatives(hs.swapaxes(0, 1), summed=True)  # d_j h^{kj}
     d2 = np.einsum("kjlab,ljab->kab", G, hs)
     d3 = np.einsum("jjlab,klab->kab", G, hs)
     return VectorField.from_stack(g.grid, d1 + d2 + d3)
@@ -268,8 +275,7 @@ def divergence_vector(Y: VectorField, g: Metric) -> ScalarField:
     """Covariant divergence nabla_k Y^k."""
     Ys = Y.stack()
     G = g.christoffel().stack()
-    div = _partial_raw(Ys[0], 1) + _partial_raw(Ys[1], 2)
-    div = div + np.einsum("kklab,lab->ab", G, Ys)
+    div = _derivatives(Ys, summed=True) + np.einsum("kklab,lab->ab", G, Ys)
     return ScalarField(g.grid, div)
 
 
@@ -323,8 +329,8 @@ def complex_structure(g: Metric) -> MixedTensor:
 def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:
     """Analyst's Laplace-Beltrami operator (negative spectrum on the torus)."""
     f = g.volume.density.values
-    w = np.einsum("ijab,jab->iab", g.inverse_stack(), _grad_raw(u.values))
-    div = _partial_raw(f * w[0], 1) + _partial_raw(f * w[1], 2)
+    w = np.einsum("ijab,jab->iab", g.inverse_stack(), _derivatives(u.values))
+    div = _derivatives(f * w, summed=True)
     return ScalarField(g.grid, div / f)
 
 
@@ -332,12 +338,12 @@ def metric_lie_derivative(X: VectorField, g: Metric) -> SymTensor2:
     """(L_X g)_ij by the coordinate formula (no connection used)."""
     gs = g.stack()
     Xs = X.stack()
-    dg = _grad_raw(gs)
-    dX = _grad_raw(Xs)  # [i, k] = d_i X^k
-    term1 = np.einsum("kab,kijab->ijab", Xs, dg)
-    term2 = np.einsum("kjab,ikab->ijab", gs, dX)
-    term3 = np.einsum("ikab,jkab->ijab", gs, dX)
-    return SymTensor2.from_stack(g.grid, term1 + term2 + term3)
+    dg = g.gradient_stack()
+    dX = _derivatives(Xs)  # [i, k] = d_i X^k
+    lie = np.einsum("kab,kijab->ijab", Xs, dg)
+    lie += np.einsum("kjab,ikab->ijab", gs, dX)
+    lie += np.einsum("ikab,jkab->ijab", gs, dX)
+    return SymTensor2.from_stack(g.grid, lie)
 
 
 def metric_lie_derivative_nabla(X: VectorField, g: Metric) -> SymTensor2:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SymTensor2, _check_same_grid
-from .riemann import Metric, trace_sym2
+from .riemann import Metric, _check_finite, trace_sym2
 
 TRACEFREE_TOL = 1e-10
 
@@ -32,6 +32,9 @@ class TangentVector:
     def __post_init__(self):
         _check_same_grid(self.h, self.base)
         scale = self.h.max_abs()
+        if not np.isfinite(scale):
+            for name in ("c11", "c12", "c22"):
+                _check_finite(f"tangent vector {name}", getattr(self.h, name).values)
         if scale > 0.0:
             tr = trace_sym2(self.h, self.base).max_abs()
             if tr > self.tol * scale:

@@ -27,6 +27,33 @@ def test_divfree_requires_zero_mean_stream(grid, flat):
         tg.div_free_from_stream(tg.constant_field(grid, 0.3), (0.0, 0.0), flat.volume)
 
 
+@pytest.mark.parametrize("harmonic", [(np.nan, 0.2), (0.1, np.inf)])
+def test_divfree_rejects_non_finite_harmonic_part(harmonic):
+    grid = tg.Grid(32)
+    psi = sampling.random_stream(grid, 45)
+    with pytest.raises(ValueError, match="harmonic part is not finite"):
+        tg.div_free_from_stream(psi, harmonic, sampling.flat_volume_form(grid))
+
+
+def test_divfree_rejects_non_finite_stream_with_location():
+    grid = tg.Grid(32)
+    vals = np.array(sampling.random_stream(grid, 46).values)
+    vals[7, 30] = np.nan
+    psi, vol = tg.ScalarField(grid, vals), sampling.flat_volume_form(grid)
+    with pytest.raises(ValueError, match=r"stream function is not finite at lattice \(7, 30\)"):
+        tg.div_free_from_stream(psi, (0.0, 0.0), vol)
+
+
+def test_divfree_gate_fails_closed_on_overflow():
+    # finite samples whose derivative overflows: the flux is inf and its curl NaN
+    grid = tg.Grid(32)
+    psi = tg.field_from_function(grid, lambda X, Y: 1e307 * np.sin(2 * np.pi * 15 * X))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="reconstruction failed"
+    ):
+        tg.div_free_from_stream(psi, (0.0, 0.0), sampling.flat_volume_form(grid))
+
+
 def test_divfree_flow_preserves_volume(grid):
     vol = sampling.random_volume_form(grid, 40)
     X = tg.div_free_from_stream(
@@ -217,6 +244,15 @@ def test_flow_rejects_large_dt(grid, flat):
     X = tg.div_free_from_stream(sampling.random_stream(grid, 74), (0.0, 0.0), flat.volume)
     with pytest.raises(ValueError, match="dt"):
         tg.flow(X, 0.1, 2 * FLOW_MAX_DT)
+
+
+@pytest.mark.parametrize("t, dt, name", [
+    (np.nan, 5e-3, "t"), (np.inf, 5e-3, "t"), (0.1, np.nan, "dt"), (-np.inf, np.inf, "t"),
+])
+def test_flow_rejects_non_finite_time_or_step(grid, flat, t, dt, name):
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 76), (0.0, 0.0), flat.volume)
+    with pytest.raises(ValueError, match=f"flow {name} must be finite"):
+        tg.flow(X, t, dt)
 
 
 def test_pushforward_by_identity(grid):

@@ -1,0 +1,146 @@
+"""Deterministic FFT budget of the geometry chain: field transforms are counted,
+not timed.
+
+A field transform is one (n, n) slice of an np.fft.rfft2 or np.fft.irfft2
+input; a call on a (2, 2, n, n) stack counts 4.  Each input stack is
+transformed forward once per call and each output backward once, and a
+divergence or curl is summed on the half spectrum before its one irfft2.
+"""
+
+import numpy as np
+import pytest
+
+import torusgeom as tg
+from torusgeom import bundles, diffeo, riemann, sampling, symplectic
+from torusgeom.riemann import Metric
+
+N = 32
+
+# Transforms of the benchmark-shaped chain below (one geometry-n128 unit: the
+# identity chain plus rebuilding g, h, k and X).  The count does not depend on
+# N or the seed.  Before the summed-spectrum kernel and the cached metric
+# gradient it was 154 (66 forward, 88 backward); now 102 (54 forward, 48
+# backward).
+CHAIN_BEFORE = 154
+CHAIN_NOW = 102
+
+
+class FFTCounter:
+    def __init__(self, monkeypatch):
+        self.calls = []  # (kind, fields, input array)
+        for kind in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, kind, self._wrap(kind, getattr(np.fft, kind)))
+
+    def _wrap(self, kind, fn):
+        def counted(a, *args, **kwargs):
+            self.calls.append((kind, int(np.prod(np.shape(a)[:-2])), a))
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    def reset(self):
+        self.calls.clear()
+
+    def fields(self, kind):
+        return sum(f for k, f, _ in self.calls if k == kind)
+
+    def ncalls(self, kind):
+        return sum(1 for k, _, _ in self.calls if k == kind)
+
+    @property
+    def total(self):
+        return self.fields("rfft2") + self.fields("irfft2")
+
+
+@pytest.fixture
+def counter(monkeypatch):
+    return FFTCounter(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def data():
+    grid = tg.Grid(N)
+    vol = sampling.random_volume_form(grid, 80)
+    g = sampling.random_compatible_metric(grid, 81, volume=vol)
+    h, k = sampling.random_tangent(g, 82), sampling.random_tangent(g, 83)
+    psi, harm = sampling.random_stream(grid, 84), sampling.random_harmonic(85)
+    return g, h, k, psi, harm
+
+
+def _fresh(g):
+    """The same metric without its caches."""
+    return Metric.from_stack(g.grid, g.stack(), volume=g.volume)
+
+
+def test_covariant_divergence_is_one_forward_and_one_backward(counter, data):
+    g = _fresh(data[0])
+    hup = riemann.raise_sym2(data[1].h, g)
+    g.christoffel()
+    counter.reset()
+    riemann.covariant_divergence(hup, g)
+    assert counter.ncalls("rfft2") == counter.ncalls("irfft2") == 1
+    assert (counter.fields("rfft2"), counter.fields("irfft2")) == (4, 2)
+
+
+def test_metric_is_transformed_once(counter, data):
+    g, h, _, psi, harm = data
+    g = _fresh(g)
+    X = diffeo.div_free_from_stream(psi, harm, g.volume)
+    counter.reset()
+    g.christoffel()
+    riemann.metric_lie_derivative(X.vector, g)
+    riemann.metric_lie_derivative(X.vector, g)
+    riemann.metricity_residual(g)
+    forward = [a for kind, _, a in counter.calls if kind == "rfft2"]
+    assert sum(np.shares_memory(a, g.stack()) for a in forward) == 1
+
+
+def test_dalpha_builds_the_double_divergence_once(counter, data, monkeypatch):
+    g = _fresh(data[0])
+    g.christoffel()
+    built = {"covariant_divergence": 0, "divergence_vector": 0}
+    for name in built:
+        real = getattr(bundles, name)
+
+        def recording(*args, _name=name, _real=real):
+            built[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bundles, name, recording)
+    counter.reset()
+    bundles.dalpha_defect(g, data[1])
+    assert built == {"covariant_divergence": 1, "divergence_vector": 1}
+    # nabla_j h^kj 4 + 2, its divergence 2 + 1, d alpha 2 + 1 (24 before)
+    assert counter.total == 12
+
+
+def _geometry_chain(g0, h0, k0, psi, harm):
+    """The benchmark's geometry unit, with the momentum identity composed at a
+    trace tolerance that suits N = 32 (the transforms are those of
+    momentum_residual)."""
+    vol = g0.volume
+    g = _fresh(g0)
+    h, k = symplectic.TangentVector(g, h0.h), symplectic.TangentVector(g, k0.h)
+    X = diffeo.div_free_from_stream(psi, harm, vol)
+    riemann.christoffel(g)
+    riemann.scalar_curvature(g)
+    riemann.metric_lie_derivative(X.vector, g)
+    riemann.metric_lie_derivative_nabla(X.vector, g)
+    hup = riemann.raise_sym2(h.h, g)
+    riemann.divergence_vector(riemann.covariant_divergence(hup, g), g)
+    symplectic.metric_path(g, h, 0.1)
+    symplectic.nondegeneracy_witness(g, h)
+    riemann.ricci_relation_residual(g)
+    riemann.linearized_scalar_curvature(g, h.h)
+    symplectic.omega(g, h, k) + symplectic.omega(g, k, h)
+    xg = diffeo.fundamental_vector(X, g, trace_tol=1e-4)
+    alpha = bundles.connection_alpha(g, h)
+    bundles.dalpha_defect(g, h)
+    return symplectic.omega(g, xg, h) + diffeo.pairing_kappa(X, alpha)
+
+
+def test_geometry_chain_budget(counter, data):
+    counter.reset()
+    assert abs(_geometry_chain(*data)) <= 1e-9
+    assert counter.total == CHAIN_NOW
+    assert counter.total <= CHAIN_BEFORE * 2 // 3

@@ -3,7 +3,7 @@ import pytest
 
 import torusgeom as tg
 from torusgeom import fields
-from torusgeom.fields import Grid, ScalarField, TwoForm, _grad_raw, _partial_raw
+from torusgeom.fields import Grid, ScalarField, TwoForm, _derivatives, _ik
 
 from conftest import sup
 
@@ -64,15 +64,33 @@ def complex_partial_oracle(arr, axis):
 def test_derivative_kernel_matches_complex_oracle(n, lead):
     # white noise carries every mode, the Nyquist row and column included
     arr = np.random.default_rng(n + len(lead)).standard_normal(lead + (n, n))
-    grad = _grad_raw(arr)
+    grad = _derivatives(arr)
     assert grad.shape == (2,) + arr.shape
     for axis in (1, 2):
         want = complex_partial_oracle(arr, axis)
         tol = 1e-14 * sup(want)
-        assert sup(_partial_raw(arr, axis) - want) <= tol
+        assert sup(_derivatives(arr, (axis,))[0] - want) <= tol
         assert sup(grad[axis - 1] - want) <= tol
         if not lead:
             assert sup(tg.partial(ScalarField(Grid(n), arr), axis).values - want) <= tol
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("lead", [(), (2, 2)], ids=["scalar", "stacked"])
+def test_summed_spectrum_kernel_matches_complex_oracle(n, lead):
+    # white noise carries every mode, the Nyquist row and column included
+    a0, a1 = np.random.default_rng(10 * n + len(lead)).standard_normal((2,) + lead + (n, n))
+    want = complex_partial_oracle(a0, 1) + complex_partial_oracle(a1, 2)
+    tol = 1e-14 * sup(want)
+    assert sup(_derivatives(np.stack([a0, a1]), summed=True) - want) <= tol
+
+
+def test_ik_is_built_once_and_read_only():
+    for axis in (1, 2):
+        ik = _ik(16, axis)
+        assert _ik(16, axis) is ik
+        with pytest.raises(ValueError, match="read-only"):
+            ik[0, 0] = 0.0
 
 
 def test_scalar_field_shares_only_unwritable_input(grid):

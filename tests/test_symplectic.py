@@ -35,6 +35,15 @@ def test_tracefree_project_flat_diagonal(grid, flat):
     assert sup(got.h.stack() - want.stack()) <= 1e-14
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tangent_vector_rejects_non_finite_sample_with_location(value):
+    g = tg.flat_metric(tg.Grid(16))
+    arr = np.zeros((2, 2, 16, 16))
+    arr[0, 1, 3, 8] = arr[1, 0, 3, 8] = value
+    with pytest.raises(ValueError, match=r"tangent vector c12 is not finite at lattice \(3, 8\)"):
+        TangentVector(g, SymTensor2.from_stack(g.grid, arr))
+
+
 def test_tangent_vector_rejects_trace(grid, flat):
     with pytest.raises(ValueError, match="trace"):
         TangentVector(flat, const_tensor(grid, 1.0, 0.0, 1.0))

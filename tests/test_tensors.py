@@ -15,6 +15,7 @@ from torusgeom.fields import (
     SymTensor2,
     TwoForm,
     VectorField,
+    _derivatives,
 )
 from torusgeom.riemann import Christoffel, Metric, VolumeForm
 
@@ -207,3 +208,12 @@ def test_ricci_cache_is_read_only():
     with pytest.raises(ValueError):
         ric[0, 0] += 1.0
     assert tg.ricci_relation_residual(g) == before
+
+
+def test_metric_gradient_cache_is_read_only():
+    g = sampling.random_compatible_metric(tg.Grid(32), 5)
+    dg = g.gradient_stack()
+    assert g.gradient_stack() is dg
+    assert np.array_equal(dg, _derivatives(g.stack()))
+    with pytest.raises(ValueError):
+        dg[0, 0, 0] += 1.0
