@@ -14,6 +14,9 @@ the canonical-bundle holonomy angle is -KAPPA_CONV times the transported
 frame angle with KAPPA_CONV = CURV_NORM = 2; all convention-free identities
 (d alpha, the divergence identity, the momentum residual) are independent of
 this pair.
+
+Frame transport forms omega only at a loop's quadrature nodes, from the
+interpolated metric and its derivatives: no lattice connection form is built.
 """
 
 from __future__ import annotations
@@ -29,19 +32,20 @@ from .fields import (
     OneForm,
     ScalarField,
     TwoForm,
-    VectorField,
     _derivatives,
+    _gauss_legendre,
     constant_field,
     integrate,
 )
 from .riemann import (
+    EPS_12,
     Metric,
     VolumeForm,
-    complex_structure,
+    _inverse,
+    _levi_civita,
     covariant_divergence,
     divergence_vector,
     cov_deriv_oneform,
-    cov_deriv_vector,
     raise_sym2,
     scalar_curvature,
 )
@@ -193,17 +197,21 @@ def divergence_identity_defect(g: Metric, Y) -> TwoForm:
     return TwoForm.from_stack(g.grid, nab[0, 1] - nab[1, 0] - div * f)
 
 
-def _connection_form(g: Metric) -> OneForm:
-    """Levi-Civita connection 1-form omega_i = g(nabla_i E1, E2).
-
-    E1 = d/dx / sqrt(g11) and E2 = I E1 form a global g-orthonormal frame,
-    so along a parallel vector the angle against E1 obeys theta' = -omega(c').
-    """
-    grid = g.grid
-    e1 = VectorField(ScalarField(grid, 1.0 / np.sqrt(g.g11.values)), constant_field(grid, 0.0))
-    e2 = np.einsum("ijab,jab->iab", complex_structure(g).stack(), e1.stack())
-    nab = cov_deriv_vector(e1, g)  # [i, k] = nabla_i E1^k
-    return OneForm.from_stack(grid, np.einsum("ikab,klab,lab->iab", nab, g.stack(), e2))
+def _transport(interp: Interpolator, loop: Loop) -> float:
+    """-int_loop omega, the Levi-Civita connection 1-form omega_i =
+    g(nabla_i E1, E2) formed at the loop's nodes from interp, the (g11, g12,
+    g22) interpolant with derivatives.  E1 = d/dx / sqrt(g11) and E2 = I E1
+    form a global g-orthonormal frame, so along a parallel vector the angle
+    against E1 obeys theta' = -omega(c').  With I = -g^-1 mu and mu = EPS_12
+    sqrt(det g) eps, g(V, E2) = -mu(V, E1) = EPS_12 sqrt(det g) E1^1 V^2, so
+    only nabla_i E1^2 = Gamma^2_i1 E1^1 enters: omega_i = EPS_12 sqrt(det g)
+    Gamma^2_i1 / g11."""
+    pts, wvec = _loop_nodes(loop)
+    vals = interp(pts, derivatives=True)[:, [[0, 1], [1, 2]]]  # (g11, g12, g22) -> g[p, q]
+    gs, dg = vals[0], vals[1:]  # g_pq and d_i g_pq
+    gamma = _levi_civita(_inverse(gs), dg)[1, :, 0]  # Gamma^2_i1
+    omega = EPS_12 * np.sqrt(gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2) / gs[0, 0] * gamma
+    return -float(np.sum(omega.T * wvec))
 
 
 def frame_transport(g: Metric, loop: Loop) -> float:
@@ -214,7 +222,7 @@ def frame_transport(g: Metric, loop: Loop) -> float:
     Cartan's structure equation d(omega) = -(S/2) mu, so for a positively
     oriented contractible loop it is the enclosed integral of S/2.
     """
-    return -loop_integral_oneform(_connection_form(g), loop)
+    return _transport(Interpolator([g.g11, g.g12, g.g22], derivatives=True), loop)
 
 
 def canonical_class(g: Metric) -> CircleBundleClass:
@@ -228,9 +236,8 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     s = scalar_curvature(g)
     f = g.volume.density.values
     curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * f)
-    conn = _connection_form(g)
-    theta_a = -loop_integral_oneform(conn, Loop.generator(1))
-    theta_b = -loop_integral_oneform(conn, Loop.generator(2))
+    interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
+    theta_a, theta_b = (_transport(interp, Loop.generator(axis)) for axis in (1, 2))
     total = integrate(curv)
     chern = int(round(total / TWO_PI))
     if abs(total - TWO_PI * chern) > QUANTIZATION_TOL:
@@ -247,14 +254,11 @@ def momentum_residual(g: Metric, X: DivFreeField, h: TangentVector) -> float:
     return lhs + pairing_kappa(X, connection_alpha(g, h))
 
 
-def loop_integral_oneform(alpha: OneForm, loop: Loop) -> float:
-    """Line integral of a 1-form along a polyline loop.
-
-    Each edge is cut into ceil(length / PANEL_LENGTH) Gauss-Legendre panels
-    of PANEL_NODES nodes; one such panel on a unit generator edge leaves
-    errors near 1e-6.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+def _loop_nodes(loop: Loop) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (m, 2) of a polyline loop and weights times the edge tangent (m, 2):
+    each edge is cut into ceil(length / PANEL_LENGTH) Gauss-Legendre panels of
+    PANEL_NODES nodes; one such panel on a unit generator edge leaves errors near 1e-6."""
+    nodes, weights = _gauss_legendre(PANEL_NODES)
     pts, wvec = [], []
     for a, b in zip(loop.points[:-1], loop.points[1:]):
         tang = b - a
@@ -267,8 +271,13 @@ def loop_integral_oneform(alpha: OneForm, loop: Loop) -> float:
         wvec.append(np.tile(0.5 * weights / m, m)[:, None] * tang)
     if not pts:
         raise ValueError("loop has no extent")
-    vals = Interpolator([alpha.a1, alpha.a2])(np.concatenate(pts))
-    return float(np.sum(vals.T * np.concatenate(wvec)))
+    return np.concatenate(pts), np.concatenate(wvec)
+
+
+def loop_integral_oneform(alpha: OneForm, loop: Loop) -> float:
+    """Line integral of a 1-form along a polyline loop (nodes: _loop_nodes)."""
+    pts, wvec = _loop_nodes(loop)
+    return float(np.sum(Interpolator([alpha.a1, alpha.a2])(pts).T * wvec))
 
 
 def holonomy_derivative_check(

@@ -228,16 +228,10 @@ def _rk4_flow(
     jac = np.tile(np.eye(2), (m, 1, 1)) if tangent else None
 
     def vel(q):
-        vals = interp(q)
-        v = vals[:2].T
         if not tangent:
-            return v, None
-        dx = np.empty((m, 2, 2))
-        dx[:, 0, 0] = vals[2]  # d1 X^1
-        dx[:, 0, 1] = vals[3]  # d2 X^1
-        dx[:, 1, 0] = vals[4]
-        dx[:, 1, 1] = vals[5]
-        return v, dx
+            return interp(q).T, None
+        vals = interp(q, derivatives=True)  # [f / d_x f / d_y f, k, point]
+        return vals[0].T, np.ascontiguousarray(vals[1:].transpose(2, 1, 0))  # [point, k, i]
 
     for _ in range(nsteps):
         k1, d1 = vel(p)
@@ -257,13 +251,12 @@ def _rk4_flow(
 def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     """Integrate the lattice along X for time t with RK4 steps of size <= dt.
 
-    The forward flow carries the tangent map, so each stage interpolates the
-    velocity and its four first derivatives.  The derivatives are chopped at
-    the velocity's band K (their own roundoff plateau, amplified by k, would
-    keep them at the full n), and the reverse-time flow that gives the
-    inverse reuses the velocity's interpolator.  A stage at all n^2 lattice
-    points costs O(F M^2 n^2) with M = max(8, 2K + 2) < n, or the full n
-    when the band does not fit (see fields.Interpolator).
+    The forward flow carries the tangent map, so each of its stages evaluates
+    the velocity and its first derivatives; the reverse-time flow that gives
+    the inverse evaluates the velocity alone, from the same interpolator,
+    whose chop is guarded for both.  A stage at all n^2 lattice points costs
+    O(M^2 n^2) with M = max(8, 2K + 2) < n for the velocity's band K, or the
+    full n when the band does not fit (see fields.Interpolator).
     """
     for name, value in (("t", t), ("dt", dt)):
         if not math.isfinite(value):
@@ -273,20 +266,11 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     if dt <= 0.0:
         raise ValueError("flow step dt must be positive")
     grid = X.grid
-    x1, x2 = X.vector.x1, X.vector.x2
-    velocity = Interpolator([x1, x2])
-    # the derivatives' own roundoff plateau is amplified by k; cut them at the
-    # velocity's band (the mass guard still applies)
-    grad = _derivatives(X.vector.stack())  # [i, k] = d_i X^k
-    with_gradient = Interpolator(
-        [x1, x2] + [ScalarField(grid, grad[i, k]) for k in (0, 1) for i in (0, 1)],
-        band=velocity.band,
-    )
-    del grad  # not kept through the RK4 loops
+    velocity = Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
     nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1
-    fwd, jac = _rk4_flow(with_gradient, pts, t, nsteps, tangent=True)
+    fwd, jac = _rk4_flow(velocity, pts, t, nsteps, tangent=True)
     inv, _ = _rk4_flow(velocity, pts, -t, nsteps)
     det = np.linalg.det(jac).reshape(grid.n, grid.n)
     phi = DiscreteDiffeo(

@@ -360,6 +360,26 @@ def _dropped_mass(mag: np.ndarray, band: int) -> np.ndarray:
     return outer
 
 
+def _dropped_ratio(samples, c, mag, band: int, derivatives: bool) -> float:
+    """The chop guard's worst ratio: each field's dropped l1 mass over max|f|
+    and, with derivatives, each d_a f's, sum |2 pi k_a| |c_k|, over max|d_a f|
+    on the n lattice.  That max costs an irfft2, so it is taken only where the
+    rms (Parseval), a lower bound, fails; a reported ratio may only overstate."""
+    n = samples.shape[-1]
+    mass, norm = [_dropped_mass(mag, band)], [np.abs(samples).max(axis=(1, 2)) * (n * n)]
+    if derivatives:
+        ik = np.stack(np.broadcast_arrays(_ik(n, 1), _ik(n, 2)))[:, None]
+        dmag = (mag * np.abs(ik)).reshape(-1, *mag.shape[1:])
+        mass.append(_dropped_mass(dmag, band))
+        norm.append(np.sqrt((np.square(dmag) @ _y_weight(n)).sum(axis=1)))  # n^2 rms
+        fail = mass[1] > CHOP_MASS_LIMIT * norm[1]
+        if fail.any():  # the lattice max of the failing derivatives only
+            dspec = (c * ik).reshape(dmag.shape)[fail]
+            norm[1][fail] = np.abs(np.fft.irfft2(dspec, s=(n, n))).max(axis=(1, 2)) * (n * n)
+    ratio = np.concatenate(mass) / np.maximum(np.concatenate(norm), np.finfo(float).tiny)
+    return float(ratio.max())
+
+
 def _fold(c: np.ndarray, scale: float) -> np.ndarray:
     """Real (F*n, n) coefficient matrix of scale times an rfft2 half spectrum
     (F, n, n/2+1), y basis index major within each field; c is overwritten.
@@ -394,10 +414,10 @@ class Interpolator:
     The field set is chopped at its roundoff plateau (CHOP_TOL): with K the
     largest |k|_inf kept, the |p|, q <= K block of the rfft2 half spectrum is
     copied exactly into the half spectrum of the smallest even grid M =
-    max(8, 2K + 2), whose Nyquist modes are then zero.  A given band sets K
-    instead (flow passes the velocity's band to its derivatives).  When M >=
-    n, or the dropped l1 mass exceeds CHOP_MASS_LIMIT * max|f|, the full band
-    is kept and M = n.  band, eval_n and dropped report K, M and that mass.
+    max(8, 2K + 2), whose Nyquist modes are then zero.  When M >= n, or the
+    dropped l1 mass exceeds CHOP_MASS_LIMIT * max|f| (and, with derivatives,
+    its d_x f and d_y f analogue: _dropped_ratio), the full band is kept and
+    M = n.  band, eval_n and dropped report K, M and that ratio.
 
     The coefficients are folded once into a real (nfields*M, M) matrix over
     the real basis 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
@@ -406,24 +426,21 @@ class Interpolator:
     interpolant is real and reproduces the lattice samples.  Points are
     evaluated in blocks of POINT_BLOCK; each block is one real
     (nfields*M x M) @ (M x block) product plus an O(nfields M block)
-    contraction with the y basis.
+    contraction with the y basis; derivatives differentiate the basis (to 0
+    for the Nyquist cosine, as _ik does), and d_x f takes a second product.
     """
 
-    def __init__(self, fields, band: int | None = None):
+    def __init__(self, fields, derivatives: bool = False):
         fields = list(fields)
         self.grid = _check_same_grid(*fields)
         n = self.grid.n
-        self._nfields = len(fields)
+        self._nfields, self._derivatives = len(fields), derivatives
         samples = np.stack([f.values for f in fields])
         c = np.fft.rfft2(samples)  # n^2 times the Fourier coefficients
         mag = np.abs(c)
-        k = _chop_band(mag) if band is None else band
+        k = _chop_band(mag)
         m = max(8, 2 * k + 2)  # even, and K stays below its Nyquist mode
-        dropped = 0.0
-        if m < n:
-            peak = np.abs(samples).max(axis=(1, 2)) * (n * n)
-            mass = _dropped_mass(mag, k) / np.maximum(peak, np.finfo(float).tiny)
-            dropped = float(mass.max())
+        dropped = _dropped_ratio(samples, c, mag, k, derivatives) if m < n else 0.0
         if m >= n or dropped > CHOP_MASS_LIMIT:
             k, m, dropped = n // 2, n, 0.0
         else:
@@ -432,6 +449,7 @@ class Interpolator:
             kept[:, m - k :, : k + 1] = c[:, n - k :, : k + 1]
             c = kept
         self._band, self._eval_n, self._dropped = k, m, dropped
+        self._k = 2.0 * np.pi * np.arange(1.0, m // 2)[:, None]  # 2 pi k, k = 1..M/2-1
         self._packed = _fold(c, 1.0 / (n * n))
 
     @property
@@ -446,30 +464,50 @@ class Interpolator:
 
     @property
     def dropped(self) -> float:
-        """l1 mass of the dropped modes over max|f|, the worst field's."""
+        """The worst dropped l1 mass over max|f| (see _dropped_ratio)."""
         return self._dropped
 
-    def _basis(self, coords: np.ndarray) -> np.ndarray:
+    def _basis(self, coords: np.ndarray, derivative: bool) -> tuple[np.ndarray, ...]:
         # (M, m) rows 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
-        # from z^k = z^(k-1) z, one contiguous row per step
+        # from z^k = z^(k-1) z, one contiguous row per step, and their d/dt
         h = self._eval_n // 2
         z = np.exp(2j * np.pi * coords)
         e = np.empty((h + 1, coords.shape[0]), dtype=complex)
         e[0] = 1.0
         for k in range(1, h + 1):
             np.multiply(e[k - 1], z, out=e[k])
-        return np.concatenate([e.real, e.imag[1:h]])
+        basis = np.concatenate([e.real, e.imag[1:h]])
+        if not derivative:
+            return (basis,)
+        d = np.empty_like(basis)
+        d[0] = d[h] = 0.0  # the constant and the Nyquist cosine
+        np.multiply(-self._k, basis[h + 1 :], out=d[1:h])  # cos_k -> -2 pi k sin_k
+        np.multiply(self._k, basis[1:h], out=d[h + 1 :])  # sin_k -> 2 pi k cos_k
+        return basis, d
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all fields at points of shape (m, 2); returns (nfields, m)."""
+    def __call__(self, points: np.ndarray, derivatives: bool = False) -> np.ndarray:
+        """Evaluate all fields at points of shape (m, 2); returns (nfields, m),
+        or with derivatives (3, nfields, m) stacking f, d_x f and d_y f."""
+        if derivatives and not self._derivatives:
+            raise ValueError("derivatives need an Interpolator built with derivatives=True")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((self._nfields, pts.shape[0]))
+        out = np.empty((3 if derivatives else 1, self._nfields, pts.shape[0]))
+        shape = (self._nfields, self._eval_n, -1)
         for lo in range(0, pts.shape[0], POINT_BLOCK):
             block = slice(lo, lo + POINT_BLOCK)
             x, y = pts[block].T
-            tmp = (self._packed @ self._basis(x)).reshape(self._nfields, self._eval_n, x.size)
-            np.einsum("flm,lm->fm", tmp, self._basis(y), out=out[:, block])
-        return out
+            if not derivatives:
+                tmp = (self._packed @ self._basis(x, False)[0]).reshape(shape)
+                np.einsum("flm,lm->fm", tmp, self._basis(y, False)[0], out=out[0, :, block])
+                continue
+            bx = self._basis(x, True)
+            tmp = self._packed @ bx[0]
+            by = self._basis(y, True)  # after the product, as above: building it first was slower
+            np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[0, :, block])
+            np.einsum("flm,lm->fm", tmp.reshape(shape), by[1], out=out[2, :, block])
+            np.matmul(self._packed, bx[1], out=tmp)
+            np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[1, :, block])
+        return out if derivatives else out[0]
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:
@@ -480,6 +518,15 @@ def interpolate(f: ScalarField, point) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def region_integral(f: ScalarField, rect, order: int = 32) -> float:
     """Gauss-Legendre integral of f(x, y) dx dy over an axis-aligned rectangle.
 
@@ -487,7 +534,7 @@ def region_integral(f: ScalarField, rect, order: int = 32) -> float:
     Spectrally convergent for analytic f since the interpolant is entire.
     """
     x0, x1, y0, y1 = rect
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     xs = 0.5 * (x1 - x0) * (nodes + 1.0) + x0
     ys = 0.5 * (y1 - y0) * (nodes + 1.0) + y0
     X, Y = np.meshgrid(xs, ys, indexing="ij")

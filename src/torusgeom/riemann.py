@@ -111,7 +111,7 @@ class Metric(Tensor):
 
     def inverse_stack(self) -> np.ndarray:
         """g^{ij} as a read-only (2, 2, n, n) array."""
-        return self._cached("inv", _inverse_impl)
+        return self._cached("inv", lambda g: _inverse(g.stack()))
 
     def gradient_stack(self) -> np.ndarray:
         """d_m g_pq as a read-only (2, 2, 2, n, n) array, derivative index first."""
@@ -123,7 +123,8 @@ class Metric(Tensor):
         return float(np.max(np.abs(np.sqrt(self.det_values()) - f)) / np.max(np.abs(f)))
 
     def christoffel(self) -> "Christoffel":
-        return self._cached("gamma", _christoffel_impl)
+        return self._cached("gamma", lambda g: Christoffel.from_stack(
+            g.grid, _levi_civita(g.inverse_stack(), g.gradient_stack())))
 
     def scalar_curvature(self) -> ScalarField:
         return self._cached("scal", _scalar_curvature_impl)
@@ -175,22 +176,21 @@ def flat_metric(grid: Grid, density: float = 1.0) -> Metric:
     return Metric(one, zero, one, mu)
 
 
-def _inverse_impl(g: Metric) -> np.ndarray:
-    inv = g.stack()[::-1, ::-1] / g.det_values()  # [[g22, g12], [g12, g11]]
+def _inverse(gs: np.ndarray) -> np.ndarray:
+    """g^ij of a (2, 2, ...) stack of metric values, pointwise."""
+    inv = gs[::-1, ::-1] / (gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2)  # [[g22, g12], [g12, g11]]
     inv[0, 1] *= -1.0
     inv[1, 0] *= -1.0
     return inv
 
 
-def _christoffel_impl(g: Metric) -> Christoffel:
-    ginv = g.inverse_stack()
-    dg = g.gradient_stack()  # dg[m, p, q] = d_m g_pq
-    # Gamma^k_ij = g^kl T[l, i, j] / 2, T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij;
-    # T is a temporary, freed before the result is copied
-    a = dg.transpose(1, 0, 2, 3, 4)  # a[l, i, j] = d_i g_lj
-    gamma = np.einsum("klab,lijab->kijab", ginv, a + a.transpose(0, 2, 1, 3, 4) - dg)
+def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij as [k, i, j, ...] from g^kl and dg[m, p, q] = d_m g_pq, pointwise."""
+    # Gamma^k_ij = g^kl T[l, i, j] / 2, T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
+    a = dg.swapaxes(0, 1)  # a[l, i, j] = d_i g_lj
+    gamma = np.einsum("kl...,lij...->kij...", ginv, a + a.swapaxes(1, 2) - dg)
     gamma *= 0.5
-    return Christoffel.from_stack(g.grid, gamma)
+    return gamma
 
 
 def christoffel(g: Metric) -> Christoffel:

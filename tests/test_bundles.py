@@ -201,6 +201,37 @@ def test_frame_transport_matches_rk4_oracle(grid, seed):
         assert abs(frame_transport(g, loop) - _rk4_transport(g, loop, 1e-3)) <= 1e-9
 
 
+def _lattice_connection_form(g):
+    """The lattice connection 1-form omega_i = g(nabla_i E1, E2) with E1 =
+    d/dx / sqrt(g11) and E2 = I E1, as frame transport built it on the whole
+    lattice before it formed omega at its quadrature nodes."""
+    grid = g.grid
+    e1 = VectorField(ScalarField(grid, 1.0 / np.sqrt(g.g11.values)), tg.constant_field(grid, 0.0))
+    e2 = np.einsum("ijab,jab->iab", tg.complex_structure(g).stack(), e1.stack())
+    nab = tg.riemann.cov_deriv_vector(e1, g)  # [i, k] = nabla_i E1^k
+    return tg.OneForm.from_stack(grid, np.einsum("ikab,klab,lab->iab", nab, g.stack(), e2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transport_matches_the_lattice_connection_oracle(grid, seed):
+    vol = sampling.random_volume_form(grid, seed + 310)
+    g = sampling.random_compatible_metric(grid, seed + 20, volume=vol)
+    conn = _lattice_connection_form(g)
+    loops = (
+        Loop.square((0.37, 0.52), 0.4),
+        Loop.square((0.8, 0.15), 0.3),
+        Loop.generator(1),
+        Loop.generator(2),
+        Loop.generator(1, (0.31, 0.72)),
+    )
+    for loop in loops:
+        assert abs(frame_transport(g, loop) + loop_integral_oneform(conn, loop)) <= 1e-12
+    c = canonical_class(g)
+    for hol, axis in ((c.holA, 1), (c.holB, 2)):
+        want = KAPPA_CONV * loop_integral_oneform(conn, Loop.generator(axis))
+        assert abs(np.exp(1j * hol) - np.exp(1j * want)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stokes_contractible_loop(grid, seed):
     g, _, _ = make_setup(grid, seed)

@@ -144,3 +144,17 @@ def test_geometry_chain_budget(counter, data):
     assert abs(_geometry_chain(*data)) <= 1e-9
     assert counter.total == CHAIN_NOW
     assert counter.total <= CHAIN_BEFORE * 2 // 3
+
+
+def test_frame_transport_transforms_only_the_metric(counter):
+    # omega is formed at the loop's nodes from the interpolated g and d g: no
+    # lattice Christoffel symbols or gradient are built, and the derivative
+    # guard's rms bound passes, so its irfft2 is skipped.  The lattice
+    # connection form took 20 transforms (8 forward, 12 backward).
+    grid = tg.Grid(64)
+    g = sampling.random_compatible_metric(grid, 81, volume=sampling.random_volume_form(grid, 80))
+    assert tg.Interpolator([g.g11, g.g12, g.g22], derivatives=True).eval_n < grid.n
+    counter.reset()
+    bundles.frame_transport(g, bundles.Loop.square((0.37, 0.52), 0.4))
+    assert "gamma" not in g._cache and "grad" not in g._cache
+    assert (counter.fields("rfft2"), counter.fields("irfft2")) == (3, 0)

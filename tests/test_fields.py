@@ -348,11 +348,113 @@ def test_dropped_mass_above_the_limit_keeps_the_full_band():
     _assert_matches_oracle([f], _ORACLE_POINTS)
 
 
-def test_given_band_is_used_and_guarded():
+def _derivative_dropped_mass(f, band, axis, norm=sup):
+    """l1 mass of 2 pi |k_axis| |c_k| outside |k|_inf <= band, over norm(d_axis f)
+    on the lattice (the Nyquist entry of the differentiated axis is zero)."""
+    n = f.grid.n
+    k = np.abs(np.fft.fftfreq(n) * n)
+    outside = np.maximum(k[:, None], k[None, :]) > band
+    k[n // 2] = 0.0
+    weight = 2 * np.pi * (k[:, None] if axis == 1 else k[None, :])
+    mass = (weight * np.abs(np.fft.fft2(f.values) / n**2))[outside].sum()
+    return mass / norm(complex_partial_oracle(f.values, axis))
+
+
+def _rms(arr):
+    return float(np.sqrt(np.mean(np.square(arr))))
+
+
+def _assert_derivatives_match_oracle(fields, points, interp=None):
+    """f, d_x f and d_y f against full_spectrum_oracle of the lattice fields
+    and of their complex_partial_oracle derivatives."""
+    interp = interp or tg.Interpolator(fields, derivatives=True)
+    got = interp(points, derivatives=True)
+    assert got.shape == (3, len(fields), np.atleast_2d(points).shape[0])
+    assert np.array_equal(got[0], interp(points))
+    for a in (1, 2):
+        d = [ScalarField(f.grid, complex_partial_oracle(f.values, a)) for f in fields]
+        want = full_spectrum_oracle(d, points)
+        assert sup(got[a] - want) <= 1e-13 * max(f.max_abs() for f in d)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("kind", ["white", "band"])
+def test_interpolator_derivatives_match_full_spectrum_oracle(n, kind):
+    # white noise carries every mode, the Nyquist row and column included,
+    # and keeps the full band; band-K fields are chopped to M < n
+    grid = Grid(n)
+    if kind == "white":
+        rng = np.random.default_rng(200 * n)
+        fs = [ScalarField(grid, rng.standard_normal((n, n))) for _ in range(3)]
+    else:
+        fs = [tg.random_band_limited(grid, seed, n // 8, 0.8) for seed in range(3)]
+    interp = tg.Interpolator(fs, derivatives=True)
+    assert interp.eval_n == (n if kind == "white" else max(8, n // 4 + 2))
+    _assert_derivatives_match_oracle(fs, _ORACLE_POINTS, interp)
+    for point in [(-0.37, 1.61), (0.0, 0.0)]:
+        _assert_derivatives_match_oracle(fs, point, interp)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["chopped", "full"])
+def test_interpolated_derivatives_at_the_lattice_equal_the_lattice_kernel(grid, full):
+    fs = [tg.random_band_limited(grid, seed, 6, 0.7) for seed in range(2)]
+    if full:
+        fs.append(ScalarField(grid, np.random.default_rng(3).standard_normal((grid.n, grid.n))))
+    interp = tg.Interpolator(fs, derivatives=True)
+    assert interp.eval_n == (grid.n if full else 14)
+    X, Y = grid.meshes()
+    got = interp(np.column_stack([X.ravel(), Y.ravel()]), derivatives=True)
+    samples = np.stack([f.values for f in fs])
+    want = _derivatives(samples)
+    for a in (0, 1):
+        assert sup(got[a + 1].reshape(samples.shape) - want[a]) <= 1e-13 * sup(want[a])
+
+
+def test_derivative_tail_above_the_limit_keeps_the_full_band():
+    # the value tail passes the guard; the k-weighted tail of d_y f does not
     f = _band_plus_tail(32, 3, 0.5 * fields.CHOP_TOL)
-    assert tg.Interpolator([f], band=5).eval_n == 12
-    wide = ScalarField(Grid(32), np.random.default_rng(1).standard_normal((32, 32)))
-    assert tg.Interpolator([wide], band=5).eval_n == 32
+    values = tg.Interpolator([f])
+    assert (values.band, values.eval_n) == (3, 8)
+    assert values.dropped <= fields.CHOP_MASS_LIMIT < _derivative_dropped_mass(f, 3, 2)
+    interp = tg.Interpolator([f], derivatives=True)
+    assert (interp.band, interp.eval_n, interp.dropped) == (16, 32, 0.0)
+    _assert_derivatives_match_oracle([f], _ORACLE_POINTS, interp)
+
+
+@pytest.mark.parametrize("tail, norm", [(0.1, _rms), (0.22, sup)], ids=["rms", "max"])
+def test_derivative_guard_reports_the_worst_dropped_mass(tail, norm):
+    # a derivative is held against its rms first and against its max only when
+    # the rms bound fails (at tail 0.22 it does: d_y f has max/rms = sqrt 2)
+    f = _band_plus_tail(32, 3, tail * fields.CHOP_TOL)
+    interp = tg.Interpolator([f], derivatives=True)
+    assert (interp.band, interp.eval_n) == (3, 8)
+    by_max = [_derivative_dropped_mass(f, 3, a) for a in (1, 2)]
+    by_rms = [_derivative_dropped_mass(f, 3, a, _rms) for a in (1, 2)]
+    assert _dropped_mass(f, 3) < max(by_max) <= fields.CHOP_MASS_LIMIT
+    assert (max(by_rms) > fields.CHOP_MASS_LIMIT) == (norm is sup)
+    want = max(_derivative_dropped_mass(f, 3, a, norm) for a in (1, 2))
+    assert interp.dropped == pytest.approx(want, rel=1e-3, abs=0.0)
+
+
+def test_derivatives_need_an_interpolator_built_for_them(grid):
+    interp = tg.Interpolator([tg.random_band_limited(grid, 0, 4, 0.5)])
+    with pytest.raises(ValueError, match="derivatives=True"):
+        interp(_ORACLE_POINTS, derivatives=True)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["chopped", "full"])
+def test_blocked_derivative_evaluation_equals_one_shot(monkeypatch, full):
+    grid = Grid(64)
+    fs = [tg.random_band_limited(grid, seed, 4, 0.9) for seed in range(2)]
+    if full:
+        fs.append(ScalarField(grid, np.random.default_rng(5).standard_normal((64, 64))))
+    interp = tg.Interpolator(fs, derivatives=True)
+    pts = np.random.default_rng(9).uniform(-1.5, 2.5, (fields.POINT_BLOCK + 1, 2))
+    blocked = interp(pts, derivatives=True)
+    monkeypatch.setattr(fields, "POINT_BLOCK", pts.shape[0] + 1)
+    one_shot = interp(pts, derivatives=True)
+    for a in range(3):
+        assert sup(blocked[a] - one_shot[a]) <= 1e-15 * sup(one_shot[a])
 
 
 @pytest.mark.parametrize("count", ["0", "1", "block-1", "block", "block+1"])
