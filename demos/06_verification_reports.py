@@ -30,5 +30,6 @@ csv_text, _ = convergence_table(report)
 print("\nconvergence table (residual vs N):")
 print(csv_text)
 
-# a single failing record would be reproducible from the command line as
-#   verify --record lemma1_equality:3:64 --out rerun.json
+# a single failing record would be reproducible from the command line, with
+# this config written to cfg.json, as
+#   verify --config cfg.json --record lemma1_equality:3:64 --out rerun.json

@@ -3,11 +3,13 @@
     verify --config cfg.json --suites momentum,kobayashi --out report.json
     verify --record momentum_residual:7:64 --out rerun.json
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error.  The environment variable TORUSGEOM_REPORT_DIR, when
-set, overrides the directory of the output files.  Report bodies are
-deterministic for a fixed config up to the generated_at timestamp and the
-wall_time fields.
+`--record` runs one record of the config's full run, with the same
+residual, note and tolerance.  Exit codes: 0 all checks passed, 1 at least
+one check failed, 2 usage or configuration error, including a `--record`
+seed or N outside that check's sweep.  The environment variable
+TORUSGEOM_REPORT_DIR, when set, overrides the directory of the output files.
+Report bodies are deterministic for a fixed config up to the generated_at
+timestamp and the wall_time fields.
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from torusgeom import bundles
+from torusgeom import bundles, suites
 from torusgeom.cli import main
 from torusgeom.suites import (
-    SUITE_CHECKS,
-    SUITE_RUNNERS,
+    CHECKS,
+    SUITE_NAMES,
     SuiteConfig,
     SuiteReport,
     convergence_table,
@@ -22,6 +25,10 @@ SMALL = {
     "kmax": 4,
     "suites": ["kobayashi", "calculus"],
 }
+
+
+def names_of(suite):
+    return {c.name for c in CHECKS if c.suite == suite}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -83,6 +90,24 @@ def test_config_rejects_large_kmax():
         SuiteConfig(grid_sizes=(32,), kmax=8)
 
 
+def test_config_rejects_duplicate_grid_sizes():
+    with pytest.raises(ValueError, match="distinct"):
+        SuiteConfig.from_dict({"grid_sizes": [32, 64, 32]})
+
+
+def test_config_rejects_a_tolerance_key_no_check_reads():
+    # every symplectic check has its own tolerance, so this override would
+    # pass every record while looking like a gate
+    with pytest.raises(ValueError, match="symplectic"):
+        SuiteConfig(tolerances={"symplectic": 1e-300})
+    with pytest.raises(ValueError, match="no suite tolerance"):
+        SuiteConfig(tolerances={"lemma3": 1e-8})
+    readers = {c.suite for c in CHECKS if c.tolerance is None}
+    assert readers == set(SUITE_NAMES) - {"symplectic"}
+    for suite in readers:
+        assert SuiteConfig(tolerances={suite: 0.5}).tol(suite) == 0.5
+
+
 # ------------------------------------------------------------- suite runs
 
 
@@ -93,7 +118,7 @@ def test_kobayashi_suite_fast_and_all_pass():
     elapsed = time.perf_counter() - t0
     assert report.overall_pass
     assert elapsed < 1.0
-    assert {r.name for r in report.records} == set(SUITE_CHECKS["kobayashi"])
+    assert {r.name for r in report.records} == names_of("kobayashi")
 
 
 def test_report_records_sorted_and_named():
@@ -102,21 +127,53 @@ def test_report_records_sorted_and_named():
     keys = [(r["suite"], r["name"], r["seed"], r["n"]) for r in body["records"]]
     assert keys == sorted(keys)
     for rec in body["records"]:
-        assert rec["name"] in SUITE_CHECKS[rec["suite"]]
+        assert rec["name"] in names_of(rec["suite"])
     assert body["schema"] == 1
 
 
 def test_runner_turns_exceptions_into_failed_records(monkeypatch):
-    def exploding(config):
+    def exploding(point):
         raise RuntimeError("synthetic blow-up")
-        yield  # pragma: no cover
 
-    from torusgeom import suites as suites_mod
+    table = [dataclasses.replace(c, run=exploding) if c.name == "associativity" else c
+             for c in CHECKS]
+    monkeypatch.setattr(suites, "CHECKS", table)
+    report = run_suites(SuiteConfig(grid_sizes=(32,), seeds=(0, 1), suites=("kobayashi",)))
+    failed = [r for r in report.records if not r.passed]
+    assert [(r.name, r.seed) for r in failed] == [("associativity", 0), ("associativity", 1)]
+    for r in failed:
+        assert r.note == "RuntimeError: synthetic blow-up"
+        assert r.tolerance == 1e-12 and math.isnan(r.residual)  # the suite tolerance
+    assert len(report.records) == 10
 
-    monkeypatch.setitem(SUITE_RUNNERS, "kobayashi", suites_mod._guarded(exploding))
-    report = run_suites(SuiteConfig(grid_sizes=(32,), seeds=(0,), suites=("kobayashi",)))
-    assert not report.overall_pass
-    assert any("synthetic blow-up" in r.note for r in report.records)
+
+def test_a_raising_check_fails_once_per_point_and_hides_nothing():
+    # at N = 32 the fundamental vector's trace exceeds its default bound, so
+    # momentum_residual raises at every seed; the kappa checks still run
+    config = SuiteConfig(grid_sizes=(32,), seeds=tuple(range(10)), suites=("momentum",))
+    records = run_suites(config).records
+    failed = [r for r in records if not r.passed]
+    assert sorted(r.seed for r in failed) == list(range(10))
+    assert all(r.name == "momentum_residual" for r in failed)
+    assert all(r.note.startswith("ValueError: -L_X g has g-trace") for r in failed)
+    passed = [r for r in records if r.passed]
+    assert len(passed) == 7 and all(r.name.startswith("kappa_") for r in passed)
+
+
+def test_declared_sweeps_equal_the_golden_records():
+    # the table lists every record of the default run before any check runs
+    config = SuiteConfig()
+    declared = [
+        (suite, c.name, seed, n)
+        for suite in config.suites
+        for (seed, n), checks in suites.plan(config, suite).items()
+        for c in checks
+    ]
+    golden = json.loads((Path(__file__).with_name("golden") / "verify_default.json").read_text())
+    produced = {(r["suite"], r["name"], r["seed"], r["n"]) for r in golden["records"]}
+    assert len(declared) == len(set(declared)) == 381
+    assert set(declared) == produced
+    assert len({c.name for c in CHECKS}) == len(CHECKS)  # --record finds a check by name
 
 
 def test_nan_residual_fails_record():
@@ -147,6 +204,19 @@ def test_single_record_rerun():
     rec = report.records[0]
     assert (rec.name, rec.seed, rec.n) == ("momentum_residual", 7, 64)
     assert rec.passed
+
+
+def test_every_record_reruns_alone_to_the_full_run():
+    config = SuiteConfig.from_dict(
+        {"grid_sizes": [64], "seeds": list(range(10)), "suites": ["lemma1", "momentum"]}
+    )
+    full = run_suites(config).records
+    assert len(full) == 57
+    for rec in full:
+        alone = run_suites(config, record_filter=(rec.name, rec.seed, rec.n)).records
+        assert [(r.residual, r.note, r.tolerance) for r in alone] == [
+            (rec.residual, rec.note, rec.tolerance)
+        ], f"{rec.name}:{rec.seed}:{rec.n}"
 
 
 def test_single_record_unknown_name():
@@ -285,3 +355,12 @@ def test_cli_entry_point_subprocess(tmp_path):
 def test_cli_record_outside_sweep_is_usage_error(tmp_path):
     # the momentum sweep is defined at desk scale; an off-sweep N is exit 2
     assert main(["--record", "momentum_residual:7:8", "--out", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("spec", ["partial_commute:40:64", "closedness_order:7:64"])
+def test_cli_record_off_sweep_seed_is_usage_error(tmp_path, spec):
+    # partial_commute sweeps the first 3 seeds and closedness_order the first;
+    # a record the full run never has is not produced
+    out = tmp_path / "r.json"
+    assert main(["--record", spec, "--out", str(out)]) == 2
+    assert not out.exists()
