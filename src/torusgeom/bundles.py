@@ -49,7 +49,7 @@ from .riemann import (
     raise_sym2,
     scalar_curvature,
 )
-from .symplectic import TangentVector, metric_path, omega
+from .symplectic import TangentVector, omega, path_derivative
 from .diffeo import DivFreeField, fundamental_vector, pairing_kappa
 
 KAPPA_CONV = 2.0
@@ -285,20 +285,13 @@ def holonomy_derivative_check(
 ) -> tuple[float, float]:
     """(d/dt of the canonical holonomy angle along metric_path, int_gamma alpha).
 
-    Only contractible loops are accepted; the finite difference uses central
-    steps at eps and eps/2 with one Richardson extrapolation.  The two values
-    agree by the log-derivative identity for the canonical bundle.
+    Only contractible loops are accepted.  The derivative is path_derivative's
+    Richardson value on central steps of eps and eps/2, so it costs four
+    frame transports.  The two values agree by the log-derivative identity
+    for the canonical bundle.
     """
     if not loop.contractible:
         raise ValueError(f"loop winds {loop.winding}; the check needs a contractible loop")
-
-    def hol_angle(t: float) -> float:
-        gt = metric_path(g, h, t) if t != 0.0 else g
-        return -KAPPA_CONV * frame_transport(gt, loop)
-
-    def central(e: float) -> float:
-        return (hol_angle(e) - hol_angle(-e)) / (2.0 * e)
-
-    fd = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
+    fd = path_derivative(lambda gt: -KAPPA_CONV * frame_transport(gt, loop), g, h, eps)
     line = loop_integral_oneform(connection_alpha(g, h), loop)
     return float(fd), float(line)

@@ -26,7 +26,7 @@ from .fields import (
     integrate,
 )
 
-EPS_12 = 1.0  # sign of eps_12; flipping it flips the sign of Omega and alpha
+EPS_12 = 1.0  # sign of eps_12; five formulas still write +1, so -1 alone is inconsistent (ROADMAP.md item 6)
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:

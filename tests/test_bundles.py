@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgeom as tg
-from torusgeom import sampling
+from torusgeom import bundles, sampling
 from torusgeom.bundles import (
     KAPPA_CONV,
     CircleBundleClass,
@@ -281,6 +281,19 @@ def test_canonical_curvature_integral_vanishes(grid, seed):
     assert c.chern == 0
 
 
+def test_canonical_curvature_conformal_closed_form(grid):
+    # g = exp(2u) delta with density exp(2u) has S = -2 exp(-2u) Lap u, so the
+    # canonical curvature -S mu is the 2-form 2 Lap u dx^dy
+    X, Y = grid.meshes()
+    k = 2 * np.pi
+    u = 0.1 * np.sin(k * X) + 0.05 * np.cos(k * (X + 2 * Y))
+    lap = -0.1 * k**2 * np.sin(k * X) - 0.05 * 5 * k**2 * np.cos(k * (X + 2 * Y))
+    e2u = ScalarField(grid, np.exp(2 * u))
+    g = tg.Metric(e2u, tg.constant_field(grid, 0.0), e2u, tg.VolumeForm(e2u))
+    curv = canonical_class(g).curvature.c12.values
+    assert sup(curv - 2 * lap) <= 1e-9 * sup(2 * lap)
+
+
 def test_canonical_one_dim_holonomy_oracle(grid):
     # oracle: 1D quadrature of the reduced transport rate along the
     # y-generator; the bundle angle is -KAPPA_CONV times the frame angle
@@ -430,6 +443,16 @@ def test_holonomy_derivative_matches_line_integral(grid, seed):
     g, _, h = make_setup(grid, seed)
     fd, line = holonomy_derivative_check(g, h, Loop.square((0.35, 0.55), 0.3), 1e-4)
     assert abs(fd - line) <= 1e-4 * abs(line)
+
+
+def test_holonomy_derivative_costs_four_transports(grid, monkeypatch):
+    # one Richardson value on central steps of eps and eps/2
+    g, _, h = make_setup(grid, 0)
+    steps = []
+    transport = bundles.frame_transport
+    monkeypatch.setattr(bundles, "frame_transport", lambda gt, loop: steps.append(gt) or transport(gt, loop))
+    holonomy_derivative_check(g, h, Loop.square((0.35, 0.55), 0.3), 1e-4)
+    assert len(steps) == 4
 
 
 def test_holonomy_derivative_rejects_winding_loop(grid):

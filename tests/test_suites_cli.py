@@ -160,6 +160,19 @@ def test_a_raising_check_fails_once_per_point_and_hides_nothing():
     assert len(passed) == 7 and all(r.name.startswith("kappa_") for r in passed)
 
 
+def test_fundamental_trace_reports_its_residual_at_every_n():
+    # at N = 32 the trace of -L_X g is 3e-7 to 5e-6, above fundamental_vector's
+    # 1e-9 precondition: fundamental_trace reports that trace, while
+    # lemma1_equality, which needs a tangent vector, keeps the precondition
+    config = SuiteConfig(grid_sizes=(32,), seeds=tuple(range(10)), suites=("lemma1",))
+    records = run_suites(config).records
+    trace = [r for r in records if r.name == "fundamental_trace"]
+    assert sorted(r.seed for r in trace) == list(range(10))
+    assert all(r.note == "" and 1e-7 <= r.residual <= 1e-5 and not r.passed for r in trace)
+    equality = [r for r in records if r.name == "lemma1_equality"]
+    assert all(r.note.startswith("ValueError: -L_X g has g-trace") for r in equality)
+
+
 def test_declared_sweeps_equal_the_golden_records():
     # the table lists every record of the default run before any check runs
     config = SuiteConfig()

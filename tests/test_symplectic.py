@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import sampling
+from torusgeom import sampling, symplectic
 from torusgeom.fields import SymTensor2
 from torusgeom.riemann import l2_norm_sym2
 from torusgeom.symplectic import TangentVector
@@ -99,6 +99,17 @@ def test_metric_path_velocity(grid):
     assert sup(vel - h.h.stack()) <= 1e-8 * max(h.h.max_abs(), 1.0)
 
 
+def test_path_steps_converge_at_their_orders(grid):
+    # metric_path is closed-form in t with velocity h at t = 0, so each step's
+    # error is pure truncation: halving eps divides it by 4 for the central
+    # step and by 16 for its Richardson value
+    g = sampling.random_compatible_metric(grid, 13)
+    h = sampling.random_tangent(g, 14)
+    for step, ratio in ((symplectic.path_central, 4.0), (symplectic.path_derivative, 16.0)):
+        e1, e2 = (sup(step(lambda gt: gt.stack(), g, h, eps) - h.h.stack()) for eps in (0.1, 0.05))
+        assert abs(e1 / e2 - ratio) <= 0.02 * ratio
+
+
 @pytest.mark.parametrize("t", [0.1, -0.1, 0.3, -0.3])
 def test_metric_path_stays_compatible(grid, t):
     g = sampling.random_compatible_metric(grid, 15, volume=sampling.random_volume_form(grid, 16))
@@ -137,6 +148,53 @@ def test_closedness_defect_random_base_small_with_order(grid):
         assert 2.5 <= d1 / d2 <= 6.0
     else:
         assert d1 <= 1e-10 and d2 <= 1e-10
+
+
+def _non_closed(gp, a, b):
+    return float(np.mean(gp.g11.values ** 2)) * tg.omega(gp, a, b)
+
+
+def _closedness_reference(g, hs, eps, form):
+    """The six-term defect with its own (g_eps, g_-eps) pair for each of its
+    nine difference quotients: 18 metric_path calls."""
+    def extend(i, gp):
+        return tg.tracefree_project(hs[i].h, gp)
+
+    def pair(i):
+        return tg.metric_path(g, extend(i, g), eps), tg.metric_path(g, extend(i, g), -eps)
+
+    def form_at(gp, j, k):
+        return form(gp, extend(j, gp), extend(k, gp))
+
+    def deriv(i, j, k):
+        gp, gm = pair(i)
+        return (form_at(gp, j, k) - form_at(gm, j, k)) / (2.0 * eps)
+
+    def push(i, j):
+        gp, gm = pair(i)
+        return (extend(j, gp).h.stack() - extend(j, gm).h.stack()) / (2.0 * eps)
+
+    def bracket(i, j):
+        return tg.tracefree_project(SymTensor2.from_stack(g.grid, push(i, j) - push(j, i)), g)
+
+    return float(
+        deriv(0, 1, 2) - deriv(1, 0, 2) + deriv(2, 0, 1)
+        - form(g, bracket(0, 1), extend(2, g))
+        + form(g, bracket(0, 2), extend(1, g))
+        - form(g, bracket(1, 2), extend(0, g))
+    )
+
+
+@pytest.mark.parametrize("form", [tg.omega, _non_closed], ids=["omega", "non_closed"])
+def test_closedness_defect_reuses_one_path_pair_per_direction(grid, monkeypatch, form):
+    g = sampling.random_compatible_metric(grid, 21)
+    hs = [sampling.random_tangent(g, 22 + i) for i in range(3)]
+    want = _closedness_reference(g, hs, 1e-3, form)
+    steps = []
+    path = symplectic.metric_path
+    monkeypatch.setattr(symplectic, "metric_path", lambda g, h, t: steps.append(t) or path(g, h, t))
+    assert tg.closedness_defect(g, *hs, 1e-3, form) == want
+    assert sorted(steps) == [-1e-3] * 3 + [1e-3] * 3
 
 
 def test_closedness_machinery_detects_non_closed_form(grid):
