@@ -30,7 +30,7 @@ s = tg.scalar_curvature(g)
 # Stokes: transported angle vs enclosed curvature integral
 center, side = (0.37, 0.52), 0.4
 theta = frame_transport(g, Loop.square(center, side))
-half_s_mu = tg.ScalarField(grid, 0.5 * s.values * g.volume.density.values)
+half_s_mu = tg.ScalarField(grid, 0.5 * s.values * g.volume.coefficient())  # mu_12 = +-f
 ref = tg.region_integral(half_s_mu, (center[0] - side / 2, center[0] + side / 2,
                                      center[1] - side / 2, center[1] + side / 2), order=40)
 print(f"transport angle {theta:+.10f}  enclosed int of S/2 {ref:+.10f}")
@@ -42,7 +42,7 @@ print(f"K({p}) = {kp:+.6f}")
 for side in (0.1, 0.05, 0.025):
     th = frame_transport(g, Loop.square(p, side))
     rect = (p[0] - side / 2, p[0] + side / 2, p[1] - side / 2, p[1] + side / 2)
-    area = tg.region_integral(g.volume.density, rect, order=24)
+    area = tg.region_integral(tg.ScalarField(grid, g.volume.coefficient()), rect, order=24)
     print(f"  side {side:6.3f}: theta/area = {th / area:+.6f}")
 
 # The canonical class: curvature -S mu, generator holonomies, Chern number

@@ -38,7 +38,6 @@ from .fields import (
     integrate,
 )
 from .riemann import (
-    EPS_12,
     Metric,
     VolumeForm,
     _inverse,
@@ -175,42 +174,40 @@ def kobayashi_neg(c: CircleBundleClass) -> CircleBundleClass:
 def connection_alpha(g: Metric, h: TangentVector) -> OneForm:
     """Representative alpha_i = mu_ik nabla_j h^{kj} of the log-derivative class."""
     y = covariant_divergence(raise_sym2(h.h, g), g).stack()
-    f = g.volume.density.values
-    return OneForm.from_stack(g.grid, np.array([1.0, -1.0])[:, None, None] * f * y[::-1])
+    return OneForm.from_stack(g.grid, g.volume.contract(y))
 
 
 def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
-    """Pointwise defect (d alpha)_12 + f * nabla_k nabla_l h^{kl}; ~0 always."""
+    """Pointwise defect (d alpha)_12 + mu_12 nabla_k nabla_l h^{kl}; ~0 always."""
     y = covariant_divergence(raise_sym2(h.h, g), g)  # nabla_j h^{kj}, built once
-    f = g.volume.density.values
-    # alpha = (f y^2, -f y^1), so d alpha = d_1 alpha_2 - d_2 alpha_1 = -div(f y)
-    dalpha = -_derivatives(f * y.stack(), summed=True)
-    return ScalarField(g.grid, dalpha + f * divergence_vector(y, g).values)
+    m = g.volume.coefficient()
+    # alpha = (mu_12 y^2, -mu_12 y^1), so d alpha = d_1 alpha_2 - d_2 alpha_1 = -div(mu_12 y)
+    dalpha = -_derivatives(m * y.stack(), summed=True)
+    return ScalarField(g.grid, dalpha + m * divergence_vector(y, g).values)
 
 
 def divergence_identity_defect(g: Metric, Y) -> TwoForm:
     """Defect of nabla_i(Y^k mu_kj) - nabla_j(Y^k mu_ki) = (nabla_k Y^k) mu_ij."""
-    f = g.volume.density.values
-    beta = OneForm.from_stack(g.grid, np.array([-1.0, 1.0])[:, None, None] * f * Y.stack()[::-1])
+    beta = OneForm.from_stack(g.grid, -g.volume.contract(Y.stack()))  # Y^k mu_kj
     nab = cov_deriv_oneform(beta, g)
     div = divergence_vector(Y, g).values
-    return TwoForm.from_stack(g.grid, nab[0, 1] - nab[1, 0] - div * f)
+    return TwoForm.from_stack(g.grid, nab[0, 1] - nab[1, 0] - div * g.volume.coefficient())
 
 
-def _transport(interp: Interpolator, loop: Loop) -> float:
+def _transport(interp: Interpolator, sign: float, loop: Loop) -> float:
     """-int_loop omega, the Levi-Civita connection 1-form omega_i =
     g(nabla_i E1, E2) formed at the loop's nodes from interp, the (g11, g12,
     g22) interpolant with derivatives.  E1 = d/dx / sqrt(g11) and E2 = I E1
     form a global g-orthonormal frame, so along a parallel vector the angle
-    against E1 obeys theta' = -omega(c').  With I = -g^-1 mu and mu = EPS_12
-    sqrt(det g) eps, g(V, E2) = -mu(V, E1) = EPS_12 sqrt(det g) E1^1 V^2, so
-    only nabla_i E1^2 = Gamma^2_i1 E1^1 enters: omega_i = EPS_12 sqrt(det g)
-    Gamma^2_i1 / g11."""
+    against E1 obeys theta' = -omega(c').  With I = -g^-1 mu and mu = sign
+    sqrt(det g) eps (sign: the volume form's), g(V, E2) = -mu(V, E1) =
+    sign sqrt(det g) E1^1 V^2, so only nabla_i E1^2 = Gamma^2_i1 E1^1 enters:
+    omega_i = sign sqrt(det g) Gamma^2_i1 / g11."""
     pts, wvec = _loop_nodes(loop)
     vals = interp(pts, derivatives=True)[:, [[0, 1], [1, 2]]]  # (g11, g12, g22) -> g[p, q]
     gs, dg = vals[0], vals[1:]  # g_pq and d_i g_pq
     gamma = _levi_civita(_inverse(gs), dg)[1, :, 0]  # Gamma^2_i1
-    omega = EPS_12 * np.sqrt(gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2) / gs[0, 0] * gamma
+    omega = sign * np.sqrt(gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2) / gs[0, 0] * gamma
     return -float(np.sum(omega.T * wvec))
 
 
@@ -222,7 +219,7 @@ def frame_transport(g: Metric, loop: Loop) -> float:
     Cartan's structure equation d(omega) = -(S/2) mu, so for a positively
     oriented contractible loop it is the enclosed integral of S/2.
     """
-    return _transport(Interpolator([g.g11, g.g12, g.g22], derivatives=True), loop)
+    return _transport(Interpolator([g.g11, g.g12, g.g22], derivatives=True), g.volume.sign, loop)
 
 
 def canonical_class(g: Metric) -> CircleBundleClass:
@@ -234,10 +231,9 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     Gauss-Bonnet, which doubles as a transport sanity check.
     """
     s = scalar_curvature(g)
-    f = g.volume.density.values
-    curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * f)
+    curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * g.volume.coefficient())
     interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
-    theta_a, theta_b = (_transport(interp, Loop.generator(axis)) for axis in (1, 2))
+    theta_a, theta_b = (_transport(interp, g.volume.sign, Loop.generator(axis)) for axis in (1, 2))
     total = integrate(curv)
     chern = int(round(total / TWO_PI))
     if abs(total - TWO_PI * chern) > QUANTIZATION_TOL:

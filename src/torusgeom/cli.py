@@ -15,6 +15,7 @@ timestamp and the wall_time fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -66,13 +67,7 @@ def _load_config(path: str | None, suites_csv: str | None) -> SuiteConfig:
         wanted = tuple(s.strip() for s in suites_csv.split(",") if s.strip())
         if not wanted:
             raise ValueError("--suites was given but named no suites")
-        config = SuiteConfig(
-            grid_sizes=config.grid_sizes,
-            seeds=config.seeds,
-            kmax=config.kmax,
-            suites=wanted,
-            tolerances=config.tolerances,
-        )
+        config = dataclasses.replace(config, suites=wanted)
     return config
 
 

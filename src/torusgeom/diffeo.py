@@ -1,9 +1,10 @@
 """Divergence-free fields, flows of volume-preserving maps, and Lemma-1 data.
 
 A divergence-free field is encoded by its flux 1-form X . mu = d(psi) +
-a dx + b dy (stream function plus harmonic part); with eps_12 = +1 the
-components are X^1 = (d2 psi + b)/f and X^2 = -(d1 psi + a)/f.  Group
-elements near the identity are realized as RK4 flows of such fields.
+a dx + b dy (stream function plus harmonic part); its components
+X^1 = (d2 psi + b)/mu_12 and X^2 = -(d1 psi + a)/mu_12 follow the oriented
+coefficient of the volume form.  Group elements near the identity are
+realized as RK4 flows of such fields.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .symplectic import TangentVector, tracefree_project
 
 FLOW_MAX_DT = 1e-2
 FLOW_VOLUME_LIMIT = 1e-4
+PUSHFORWARD_COMPAT_TOL = 1e-5  # RK4-limited, not the spectral floor of exact metrics
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +58,7 @@ class DivFreeField:
         if abs(self.stream.mean()) > 1e-12 * max(scale, 1.0):
             raise ValueError("stream function must have zero mean")
         flux = _derivatives(self.stream.values) + np.array(self.harmonic)[:, None, None]
-        # X^1 = flux_2 / f, X^2 = -flux_1 / f
-        vec = np.array([1.0, -1.0])[:, None, None] * flux[::-1] / self.volume.density.values
+        vec = flux[::-1] / self.volume.matrix()[[0, 1], [1, 0]]  # X^i mu_ik = flux_k, k != i
         object.__setattr__(self, "vector", VectorField.from_stack(self.grid, vec))
         object.__setattr__(self, "_flux", flux)
 
@@ -120,7 +121,7 @@ def lemma1_rhs(g: Metric, X: DivFreeField, h: TangentVector) -> float:
     y = covariant_divergence(raise_sym2(h.h, g), g).stack()
     xs = X.vector.stack()
     f = g.volume.density.values
-    return float(-np.mean(f * f * (xs[0] * y[1] - xs[1] * y[0])))
+    return float(-np.mean(f * g.volume.coefficient() * (xs[0] * y[1] - xs[1] * y[0])))
 
 
 def skew_defect_mu_h(g: Metric, h: TangentVector) -> float:
@@ -169,11 +170,6 @@ class DiscreteDiffeo:
         X, Y = self.grid.meshes()
         return np.stack([X, Y])
 
-    def _evaluate(self, samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """The sampled map at points (m, 2), by interpolating its displacement."""
-        d = VectorField.from_stack(self.grid, samples - self._mesh())
-        return np.asarray(points) + Interpolator([d.x1, d.x2])(points).T
-
     def _jacobian(self, samples: np.ndarray) -> np.ndarray:
         """D of the sampled map as [k, i] = d_i (map)^k, from spectral
         derivatives of its displacement."""
@@ -181,11 +177,9 @@ class DiscreteDiffeo:
         return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the forward map at arbitrary points (m, 2)."""
-        return self._evaluate(self.forward, points)
-
-    def apply_inverse(self, points: np.ndarray) -> np.ndarray:
-        return self._evaluate(self.inverse, points)
+        """The forward map at points (m, 2), by interpolating its displacement."""
+        d = VectorField.from_stack(self.grid, self.forward - self._mesh())
+        return np.asarray(points) + Interpolator([d.x1, d.x2])(points).T
 
     def volume_defect(self) -> float:
         """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f.
@@ -299,18 +293,15 @@ def _pushforward_sym2_stack(phi: DiscreteDiffeo, comps: list[ScalarField]) -> np
     return 0.5 * (out + out.transpose(1, 0, 2, 3))
 
 
-def pushforward_metric(phi: DiscreteDiffeo, g: Metric, compat_tol: float = 1e-5) -> Metric:
-    """Push g forward along phi; the result is re-certified compatible.
-
-    The certification tolerance is RK4-limited (defaults to 1e-5) rather
-    than the spectral floor used for exactly constructed metrics.
-    """
+def pushforward_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
+    """Push g forward along phi; the result is re-certified compatible
+    within PUSHFORWARD_COMPAT_TOL."""
     arr = _pushforward_sym2_stack(phi, [g.g11, g.g12, g.g22])
     out = Metric.from_stack(phi.grid, arr, volume=g.volume)
     res = out.compatibility_residual()
-    if res > compat_tol:
+    if res > PUSHFORWARD_COMPAT_TOL:
         raise ValueError(
-            f"pushforward lost compatibility: residual {res:.3e} > {compat_tol}"
+            f"pushforward lost compatibility: residual {res:.3e} > {PUSHFORWARD_COMPAT_TOL}"
         )
     return out
 

@@ -1,7 +1,8 @@
 """Metrics compatible with a volume form, Levi-Civita data and curvature.
 
-Orientation convention used throughout: the area 2-form has matrix
-mu_ij = f * eps_ij with eps_12 = +1, i.e. mu = f dx^dy with f > 0.
+Orientation convention used throughout: the area 2-form is mu = eps_12 f dx^dy
+with density f > 0 and eps_12 = +-1, the module constant read when a
+VolumeForm is built; every orientation-dependent sign comes from the VolumeForm.
 A metric is compatible when sqrt(det g) = f pointwise; then nabla mu = 0.
 """
 
@@ -26,7 +27,7 @@ from .fields import (
     integrate,
 )
 
-EPS_12 = 1.0  # sign of eps_12; five formulas still write +1, so -1 alone is inconsistent (ROADMAP.md item 6)
+EPS_12 = 1.0  # orientation of mu against dx^dy; read only when a VolumeForm is built
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
@@ -37,8 +38,9 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 
 
 class VolumeForm(Tensor):
-    """Area form mu = f dx^dy with strictly positive density f, stored by f
-    as an (n, n) array; both constructors check that f is finite and positive."""
+    """Area form mu = sign * f dx^dy, stored by its density f > 0 (the measure of
+    integrals, checked finite and positive) as an (n, n) array; sign is eps_12,
+    read when the form is built: the orientation of everything built on it."""
 
     density = Component(())
 
@@ -49,9 +51,10 @@ class VolumeForm(Tensor):
         if fmin <= 0.0:
             a, b = np.unravel_index(np.argmin(f), f.shape)
             raise ValueError(f"volume density must be positive; min {fmin} at lattice ({a}, {b})")
-        mu = EPS_12 * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None] * f  # f eps_ij
+        sign = EPS_12
+        mu = sign * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None] * f  # f eps_ij
         mu.setflags(write=False)
-        vars(self)["_matrix"] = mu
+        vars(self).update(sign=sign, _matrix=mu)
 
     def total(self) -> float:
         return integrate(TwoForm(self.density))
@@ -59,6 +62,14 @@ class VolumeForm(Tensor):
     def matrix(self) -> np.ndarray:
         """mu_ij as a read-only (2, 2, n, n) array, built once."""
         return self._matrix
+
+    def coefficient(self) -> np.ndarray:
+        """The oriented coefficient mu_12 = sign * f, a read-only (n, n) view."""
+        return self._matrix[0, 1]
+
+    def contract(self, v: np.ndarray) -> np.ndarray:
+        """mu_ik v^k = (mu_12 v^2, mu_21 v^1) of a (2, n, n) stack v^k."""
+        return self._matrix[[0, 1], [1, 0]] * v[::-1]
 
 
 class Metric(Tensor):
@@ -319,8 +330,8 @@ def l2_norm_sym2(h: SymTensor2, g: Metric) -> float:
 def complex_structure(g: Metric) -> MixedTensor:
     """Almost complex structure I with mu(X, IX) > 0; I = -(g^{-1} mu).
 
-    For the flat metric with unit density this is rotation by +pi/2,
-    the matrix [[0, -1], [1, 0]].
+    For the flat metric with unit density this is rotation by sign * pi/2,
+    the matrix sign * [[0, -1], [1, 0]] (sign: the volume form's).
     """
     I = -np.einsum("ikab,kjab->ijab", g.inverse_stack(), g.volume.matrix())
     return MixedTensor.from_stack(g.grid, I)

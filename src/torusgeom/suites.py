@@ -380,7 +380,7 @@ class Lemma2(Point, suite="lemma2", tolerance=1e-8):
     @check(desk(3), tolerance=1e-5)
     def stokes_transport(self):
         s = riemann.scalar_curvature(self.g)
-        half_s_mu = fields.ScalarField(self.grid, 0.5 * s.values * self.vol.density.values)
+        half_s_mu = fields.ScalarField(self.grid, 0.5 * s.values * self.vol.coefficient())
         center, side = (0.37, 0.52), 0.4
         theta = bundles.frame_transport(self.g, bundles.Loop.square(center, side))
         rect = (center[0] - side / 2, center[0] + side / 2, center[1] - side / 2, center[1] + side / 2)
@@ -399,11 +399,12 @@ class Lemma2(Point, suite="lemma2", tolerance=1e-8):
         p = (0.3, 0.6)
         kp = 0.5 * fields.interpolate(riemann.scalar_curvature(self.g), p)
         sides = (0.1, 0.05, 0.025, 0.0125)
+        mu12 = fields.ScalarField(self.grid, self.g.volume.coefficient())
         errs = []
         for side in sides:
             theta = bundles.frame_transport(self.g, bundles.Loop.square(p, side))
             rect = (p[0] - side / 2, p[0] + side / 2, p[1] - side / 2, p[1] + side / 2)
-            mu_area = fields.region_integral(self.g.volume.density, rect, order=24)
+            mu_area = fields.region_integral(mu12, rect, order=24)
             errs.append(abs(theta / mu_area - kp))
         order = _asymptotic_order(errs)
         note = f"asymptotic order {order:.2f}, errors {['%.2e' % e for e in errs]}"
@@ -429,7 +430,8 @@ class Momentum(Point, suite="momentum", tolerance=1e-8):
         x_harm = diffeo.div_free_from_stream(constant_field(self.grid, 0.0), (1.0, 0.0), self.flat_vol)
         c = 0.735
         alpha = OneForm(constant_field(self.grid, 0.0), constant_field(self.grid, c))
-        return abs(diffeo.pairing_kappa(x_harm, alpha) + c)
+        ref = -c / self.flat_vol.coefficient()[0, 0]  # -c f / mu_12 with f = 1
+        return abs(diffeo.pairing_kappa(x_harm, alpha) - ref)
 
     @check(seed_zero, tolerance=1.0)
     def kappa_nondegeneracy_probe(self):
@@ -566,8 +568,7 @@ class FlowInvariance(Point, suite="flow-invariance", tolerance=1e-5):
     def translation_exact(self):
         xc = diffeo.div_free_from_stream(constant_field(self.grid, 0.0), (0.0, 1.0), self.flat_vol)
         phi = diffeo.flow(xc, 0.25, 5e-3)
-        mesh = np.stack(self.grid.meshes())
-        target = mesh + np.array([0.25, 0.0])[:, None, None]
+        target = np.stack(self.grid.meshes()) + 0.25 * xc.vector.stack()  # the flow of a constant X
         return float(np.max(np.abs(phi.forward - target)))
 
 

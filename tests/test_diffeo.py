@@ -270,6 +270,18 @@ def test_pushforward_translation_fixes_flat(grid, flat):
     assert sup(gp.stack() - flat.stack()) <= 1e-11
 
 
+def test_pushforward_certifies_compatibility_at_the_module_tolerance(grid, monkeypatch):
+    vol = sampling.random_volume_form(grid, 313)
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 12), (0.2, -0.1), vol)
+    phi = tg.flow(X, 0.1, 5e-3)
+    g = sampling.random_compatible_metric(grid, 32, volume=vol)
+    res = tg.pushforward_metric(phi, g).compatibility_residual()
+    assert 0.0 < res <= diffeo.PUSHFORWARD_COMPAT_TOL
+    monkeypatch.setattr(diffeo, "PUSHFORWARD_COMPAT_TOL", 0.5 * res)
+    with pytest.raises(ValueError, match="lost compatibility"):
+        tg.pushforward_metric(phi, g)
+
+
 @pytest.mark.parametrize("seed", [12, 13])
 def test_omega_invariant_under_pushforward(grid, seed):
     vol = sampling.random_volume_form(grid, seed + 300) if seed % 2 else sampling.flat_volume_form(grid)

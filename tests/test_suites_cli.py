@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from torusgeom import bundles, suites
-from torusgeom.cli import main
+from torusgeom.cli import _load_config, main
 from torusgeom.suites import (
     CHECKS,
     SUITE_NAMES,
@@ -316,6 +316,16 @@ def test_cli_exit_2_on_bad_json(tmp_path):
 
 def test_cli_exit_2_on_unknown_suite(tmp_path):
     assert main(["--suites", "nonexistent", "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_suites_flag_keeps_every_other_config_field(tmp_path):
+    data = {"grid_sizes": [32, 64], "seeds": [4, 5], "kmax": 3, "tolerances": {"momentum": 1e-7}}
+    config = _load_config(write_config(tmp_path, data), " kobayashi, momentum ")
+    base = SuiteConfig.from_dict(data)
+    assert config.suites == ("kobayashi", "momentum")
+    for f in dataclasses.fields(SuiteConfig):
+        if f.name != "suites":
+            assert getattr(config, f.name) == getattr(base, f.name), f.name
 
 
 def test_cli_exit_2_on_missing_config(tmp_path):
