@@ -40,6 +40,7 @@ from .fields import (
 from .riemann import (
     Metric,
     VolumeForm,
+    _det,
     _inverse,
     _levi_civita,
     covariant_divergence,
@@ -207,7 +208,7 @@ def _transport(interp: Interpolator, sign: float, loop: Loop) -> float:
     vals = interp(pts, derivatives=True)[:, [[0, 1], [1, 2]]]  # (g11, g12, g22) -> g[p, q]
     gs, dg = vals[0], vals[1:]  # g_pq and d_i g_pq
     gamma = _levi_civita(_inverse(gs), dg)[1, :, 0]  # Gamma^2_i1
-    omega = sign * np.sqrt(gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2) / gs[0, 0] * gamma
+    omega = sign * np.sqrt(_det(gs)) / gs[0, 0] * gamma
     return -float(np.sum(omega.T * wvec))
 
 
@@ -228,19 +229,13 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     Curvature is -KAPPA_CONV * (S / CURV_NORM) * mu = -S mu; the generator
     holonomies come from frame transport along the two straight generators
     through the origin.  On the torus the Chern integer is forced to 0 by
-    Gauss-Bonnet, which doubles as a transport sanity check.
+    Gauss-Bonnet; the class's quantization check doubles as a transport sanity check.
     """
     s = scalar_curvature(g)
     curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * g.volume.coefficient())
     interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
     theta_a, theta_b = (_transport(interp, g.volume.sign, Loop.generator(axis)) for axis in (1, 2))
-    total = integrate(curv)
-    chern = int(round(total / TWO_PI))
-    if abs(total - TWO_PI * chern) > QUANTIZATION_TOL:
-        raise ValueError(
-            f"canonical curvature integral {total:.3e} violates quantization; "
-            "frame transport is inconsistent with the curvature normalization"
-        )
+    chern = int(round(integrate(curv) / TWO_PI))
     return CircleBundleClass(curv, -KAPPA_CONV * theta_a, -KAPPA_CONV * theta_b, chern)
 
 

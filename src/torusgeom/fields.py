@@ -85,25 +85,10 @@ class ScalarField:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
     def __mul__(self, other):
         return self._binop(other, np.multiply)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, np.divide)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.values))

@@ -37,6 +37,25 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} is not finite at lattice ({i}, {j}): {values[i, j]}")
 
 
+def _det(gs: np.ndarray) -> np.ndarray:
+    """g11 g22 - g12^2 of a (2, 2, ...) stack of symmetric values, pointwise."""
+    return gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2
+
+
+def _check_positive_definite(name: str, gs: np.ndarray) -> np.ndarray:
+    """det of a (2, 2, n, n) stack; a non-positive-definite one is rejected at a lattice site."""
+    a = gs[0, 0]
+    det = _det(gs)
+    if np.min(a) <= 0.0 or np.min(det) <= 0.0:
+        bad = np.argmin(np.where(a <= 0, a, det))
+        i, j = np.unravel_index(bad, a.shape)
+        raise ValueError(
+            f"{name} not positive-definite at lattice ({i}, {j}): "
+            f"g11={a[i, j]:.6g}, det={det[i, j]:.6g}"
+        )
+    return det
+
+
 class VolumeForm(Tensor):
     """Area form mu = sign * f dx^dy, stored by its density f > 0 (the measure of
     integrals, checked finite and positive) as an (n, n) array; sign is eps_12,
@@ -96,20 +115,11 @@ class Metric(Tensor):
         _check_same_grid(self, self.volume)
         for name in ("g11", "g12", "g22"):
             _check_finite(f"metric {name}", getattr(self, name).values)
-        a = self._arr[0, 0]
-        det = self.det_values()
-        if np.min(a) <= 0.0 or np.min(det) <= 0.0:
-            bad = np.argmin(np.where(a <= 0, a, det))
-            i, j = np.unravel_index(bad, a.shape)
-            raise ValueError(
-                f"metric not positive-definite at lattice ({i}, {j}): "
-                f"g11={a[i, j]:.6g}, det={det[i, j]:.6g}"
-            )
+        _check_positive_definite("metric", self._arr)
         vars(self)["_cache"] = {}
 
     def det_values(self) -> np.ndarray:
-        g = self._arr
-        return g[0, 0] * g[1, 1] - g[0, 1] ** 2
+        return _det(self._arr)
 
     def _cached(self, key: str, build):
         """build(self), computed on first use; an array result is made read-only."""
@@ -165,31 +175,20 @@ def project_compatible(g_raw: SymTensor2, mu: VolumeForm) -> Metric:
     """
     grid = _check_same_grid(g_raw, mu)
     raw = g_raw.stack()
-    a, b, c = raw[0, 0], raw[0, 1], raw[1, 1]
-    det = a * c - b * b
-    if np.min(a) <= 0.0 or np.min(det) <= 0.0:
-        bad = np.argmin(np.where(a <= 0, a, det))
-        i, j = np.unravel_index(bad, a.shape)
-        x, y = i / grid.n, j / grid.n
-        raise ValueError(
-            f"input tensor not positive-definite at ({x:.4f}, {y:.4f}) "
-            f"[lattice ({i}, {j})]: g11={a[i, j]:.6g}, det={det[i, j]:.6g}"
-        )
+    det = _check_positive_definite("input tensor", raw)
     scale = mu.density.values / np.sqrt(det)
     return Metric.from_stack(grid, scale * raw, volume=mu)
 
 
-def flat_metric(grid: Grid, density: float = 1.0) -> Metric:
-    """Euclidean metric scaled to match a constant volume density."""
-    mu = VolumeForm(constant_field(grid, density))
-    one = constant_field(grid, density)  # det = density^2, sqrt = f
-    zero = constant_field(grid, 0.0)
-    return Metric(one, zero, one, mu)
+def flat_metric(grid: Grid) -> Metric:
+    """Euclidean metric with unit volume density."""
+    one = constant_field(grid, 1.0)
+    return Metric(one, constant_field(grid, 0.0), one, VolumeForm(constant_field(grid, 1.0)))
 
 
 def _inverse(gs: np.ndarray) -> np.ndarray:
     """g^ij of a (2, 2, ...) stack of metric values, pointwise."""
-    inv = gs[::-1, ::-1] / (gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2)  # [[g22, g12], [g12, g11]]
+    inv = gs[::-1, ::-1] / _det(gs)  # [[g22, g12], [g12, g11]]
     inv[0, 1] *= -1.0
     inv[1, 0] *= -1.0
     return inv
@@ -306,11 +305,6 @@ def raise_sym2(h: SymTensor2, g: Metric) -> ContraSymTensor2:
 def lower_vector(X: VectorField, g: Metric) -> OneForm:
     low = np.einsum("ijab,jab->iab", g.stack(), X.stack())
     return OneForm.from_stack(g.grid, low)
-
-
-def raise_oneform(a: OneForm, g: Metric) -> VectorField:
-    up = np.einsum("ijab,jab->iab", g.inverse_stack(), a.stack())
-    return VectorField.from_stack(g.grid, up)
 
 
 def l2_norm_vector(X: VectorField, g: Metric) -> float:

@@ -1,8 +1,8 @@
 """Seeded random inputs for tests and verification sweeps.
 
-Everything is deterministic in (seed, kmax, decay) and independent of the
-grid size, so the same seed names the same continuum object at every
-resolution (needed by the convergence suites).
+Everything is deterministic in (seed, kmax) at the module constant DECAY and
+independent of the grid size, so the same seed names the same continuum
+object at every resolution (needed by the convergence suites).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import numpy as np
 from .fields import Grid, OneForm, ScalarField, SymTensor2, random_band_limited
 from .riemann import Metric, VolumeForm, project_compatible
 from .symplectic import TangentVector, tracefree_project
+
+DECAY = 0.5  # coefficient magnitudes scale like DECAY^|k| (random_band_limited)
 
 
 def _child_seed(seed: int, tag: int) -> int:
@@ -33,67 +35,52 @@ def _expm_sym2(arr: np.ndarray) -> np.ndarray:
     return e
 
 
-def random_volume_form(
-    grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.08
-) -> VolumeForm:
-    """Positive density f = exp(amp * u) with band-limited u."""
-    u = random_band_limited(grid, _child_seed(seed, 90), kmax, decay, zero_mean=True)
-    return VolumeForm(ScalarField(grid, np.exp(amp * u.values)))
+def random_volume_form(grid: Grid, seed: int, kmax: int = 4) -> VolumeForm:
+    """Positive density f = exp(0.08 u) with band-limited u."""
+    u = random_band_limited(grid, _child_seed(seed, 90), kmax, DECAY, zero_mean=True)
+    return VolumeForm(ScalarField(grid, np.exp(0.08 * u.values)))
 
 
 def flat_volume_form(grid: Grid) -> VolumeForm:
     return VolumeForm(ScalarField(grid, np.ones((grid.n, grid.n))))
 
 
-def random_sym_tensor(
-    grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.5
-) -> SymTensor2:
+def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) -> SymTensor2:
     return SymTensor2(
-        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, decay) for t in (11, 12, 22))
+        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, DECAY) for t in (11, 12, 22))
     )
 
 
 def random_compatible_metric(
-    grid: Grid,
-    seed: int,
-    kmax: int = 4,
-    decay: float = 0.5,
-    amp: float = 0.1,
-    volume: VolumeForm | None = None,
+    grid: Grid, seed: int, kmax: int = 4, volume: VolumeForm | None = None
 ) -> Metric:
     """Compatible metric exp(A) rescaled to det = f^2, A random symmetric."""
     if volume is None:
         volume = flat_volume_form(grid)
-    a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, decay, amp)
+    a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, 0.1)
     return project_compatible(SymTensor2.from_stack(grid, _expm_sym2(a.stack())), volume)
 
 
-def random_tangent(
-    g: Metric, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.4
-) -> TangentVector:
+def random_tangent(g: Metric, seed: int, kmax: int = 4) -> TangentVector:
     """Random g-trace-free direction at g."""
-    h_raw = random_sym_tensor(g.grid, _child_seed(seed, 21), kmax, decay, amp)
+    h_raw = random_sym_tensor(g.grid, _child_seed(seed, 21), kmax, 0.4)
     return tracefree_project(h_raw, g)
 
 
-def random_oneform(
-    grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.5
-) -> OneForm:
+def random_oneform(grid: Grid, seed: int, kmax: int = 4) -> OneForm:
     return OneForm(
-        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, decay) for t in (31, 32))
+        *(0.5 * random_band_limited(grid, _child_seed(seed, t), kmax, DECAY) for t in (31, 32))
     )
 
 
-def random_stream(
-    grid: Grid, seed: int, kmax: int = 4, decay: float = 0.5, amp: float = 0.015
-) -> ScalarField:
-    """Zero-mean stream function; amp keeps the induced velocities O(1)
-    and the t = 0.1 flows resolvable on desk-scale grids."""
-    psi = random_band_limited(grid, _child_seed(seed, 41), kmax, decay, zero_mean=True)
-    return ScalarField(grid, amp * psi.values)
+def random_stream(grid: Grid, seed: int, kmax: int = 4) -> ScalarField:
+    """Zero-mean stream function; its amplitude 0.015 keeps the induced
+    velocities O(1) and the t = 0.1 flows resolvable on desk-scale grids."""
+    psi = random_band_limited(grid, _child_seed(seed, 41), kmax, DECAY, zero_mean=True)
+    return ScalarField(grid, 0.015 * psi.values)
 
 
-def random_harmonic(seed: int, amp: float = 0.5) -> tuple[float, float]:
+def random_harmonic(seed: int) -> tuple[float, float]:
     rng = np.random.default_rng([seed, 55])
-    a, b = rng.normal(scale=amp, size=2)
+    a, b = rng.normal(scale=0.5, size=2)
     return float(a), float(b)

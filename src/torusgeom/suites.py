@@ -440,8 +440,8 @@ class Momentum(Point, suite="momentum", tolerance=1e-8):
         return 1e-3 / max(min_kappa, 1e-300), note
 
 
-def _kappa_probe_min(grid: Grid, vol, k: int = 2) -> float:
-    """Smallest |kappa| over matched generators and non-exact basis 1-forms.
+def _kappa_probe_min(grid: Grid, vol) -> float:
+    """Smallest |kappa| over matched generators and non-exact basis 1-forms, |p|, |q| <= 2.
 
     Basis forms with zero class (exact ones: no harmonic mean, no curl) pair
     to zero with every divergence-free field by gauge invariance and are
@@ -450,8 +450,8 @@ def _kappa_probe_min(grid: Grid, vol, k: int = 2) -> float:
     """
     min_val = math.inf
     for comp in range(2):
-        for p in range(0, k + 1):
-            for q in range(-k, k + 1) if p > 0 else range(0, k + 1):
+        for p in range(0, 3):
+            for q in range(-2, 3) if p > 0 else range(0, 3):
                 for trig in (np.cos, np.sin):
                     if trig is np.sin and (p, q) == (0, 0):
                         continue
@@ -663,33 +663,25 @@ class SuiteConfig:
     def from_dict(cls, data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValueError("config root must be a JSON object")
-        known = {"grid_sizes", "seeds", "kmax", "suites", "tolerances"}
         for key in data:
-            if key not in known:
-                raise ValueError(f"unknown config field '{key}'; valid: {sorted(known)}")
-        kwargs = {}
-        if "grid_sizes" in data:
-            kwargs["grid_sizes"] = tuple(int(n) for n in data["grid_sizes"])
-        if "seeds" in data:
-            kwargs["seeds"] = tuple(int(s) for s in data["seeds"])
-        if "kmax" in data:
-            kwargs["kmax"] = int(data["kmax"])
-        if "suites" in data:
-            kwargs["suites"] = tuple(str(s) for s in data["suites"])
-        if "tolerances" in data:
-            if not isinstance(data["tolerances"], dict):
-                raise ValueError("tolerances must be an object of suite -> number")
-            kwargs["tolerances"] = dict(data["tolerances"])
-        return cls(**kwargs)
+            if key not in _FIELDS:
+                raise ValueError(f"unknown config field '{key}'; valid: {sorted(_FIELDS)}")
+        if not isinstance(data.get("tolerances", {}), dict):
+            raise ValueError("tolerances must be an object of suite -> number")
+        return cls(**{key: _FIELDS[key][0](value) for key, value in data.items()})
 
     def echo(self) -> dict:
-        return {
-            "grid_sizes": list(self.grid_sizes),
-            "seeds": list(self.seeds),
-            "kmax": self.kmax,
-            "suites": list(self.suites),
-            "tolerances": dict(self.tolerances),
-        }
+        return {key: write(getattr(self, key)) for key, (_, write) in _FIELDS.items()}
+
+
+# every config field, in report order: (read it from JSON, write it back to JSON)
+_FIELDS = {
+    "grid_sizes": (lambda v: tuple(int(n) for n in v), list),
+    "seeds": (lambda v: tuple(int(s) for s in v), list),
+    "kmax": (int, int),
+    "suites": (lambda v: tuple(str(s) for s in v), list),
+    "tolerances": (dict, dict),
+}
 
 
 @dataclass

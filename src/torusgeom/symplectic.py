@@ -62,9 +62,6 @@ class TangentVector:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return self + (-1.0) * other
-
 
 def _require_same_base(g: Metric, tv: TangentVector):
     if tv.base is not g and not np.array_equal(tv.base.stack(), g.stack()):

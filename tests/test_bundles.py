@@ -42,6 +42,32 @@ def test_loop_winding_and_contractibility():
     assert not gen.contractible
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Loop(np.zeros(4)), r"needs an \(m\+1, 2\) array"),
+        (lambda: Loop(np.zeros((3, 3))), r"needs an \(m\+1, 2\) array"),
+        (lambda: Loop(np.zeros((1, 2))), r"needs an \(m\+1, 2\) array"),
+        (lambda: Loop.generator(axis=3), "axis must be 1 or 2"),
+        (lambda: loop_integral_oneform(tg.OneForm.from_stack(tg.Grid(16), np.zeros((2, 16, 16))),
+                                       Loop(np.array([[0.2, 0.3], [0.2, 0.3]]))),
+         "loop has no extent"),
+    ],
+    ids=["flat-array", "three-columns", "one-vertex", "axis-3", "no-extent"],
+)
+def test_malformed_loops_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_repeated_vertex_adds_nothing_to_the_transport(grid):
+    g = sampling.random_compatible_metric(grid, 4, volume=sampling.random_volume_form(grid, 3))
+    square = Loop.square((0.37, 0.52), 0.4)
+    repeated = Loop(np.insert(square.points, 2, square.points[2], axis=0))
+    assert len(repeated.points) == len(square.points) + 1
+    assert frame_transport(g, repeated) == frame_transport(g, square)
+
+
 # ------------------------------------------------- connection representative
 
 

@@ -298,3 +298,21 @@ def test_omega_invariant_under_pushforward(grid, seed):
     before = tg.omega(g, h1, h2)
     after = tg.omega(gp, hp1, hp2)
     assert abs(after - before) <= 1e-5 * abs(before)
+
+
+@pytest.mark.parametrize(
+    "dt, volume_limit, message",
+    [
+        (0.0, diffeo.FLOW_VOLUME_LIMIT, "flow step dt must be positive"),
+        (-1e-3, diffeo.FLOW_VOLUME_LIMIT, "flow step dt must be positive"),
+        (5e-3, 0.0, "flow volume defect .* exceeds 0.0; reduce dt"),
+    ],
+    ids=["zero-step", "negative-step", "volume-gate"],
+)
+def test_flow_rejects_a_bad_step_and_a_volume_defect(monkeypatch, dt, volume_limit, message):
+    grid = tg.Grid(32)
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 5), (0.0, 0.0),
+                                sampling.flat_volume_form(grid))
+    monkeypatch.setattr(diffeo, "FLOW_VOLUME_LIMIT", volume_limit)
+    with pytest.raises(ValueError, match=message):
+        tg.flow(X, 0.01, dt)

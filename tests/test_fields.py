@@ -182,6 +182,12 @@ def test_random_band_limited_rejects_large_kmax(grid):
         tg.random_band_limited(grid, 0, grid.n // 4, 0.5)
 
 
+@pytest.mark.parametrize("kmax", [-1, -4])
+def test_random_band_limited_rejects_a_negative_kmax(grid, kmax):
+    with pytest.raises(ValueError, match="kmax must be nonnegative"):
+        tg.random_band_limited(grid, 0, kmax, 0.5)
+
+
 def test_interpolate_reproduces_lattice_samples(grid):
     f = tg.random_band_limited(grid, 13, 12, 0.7)
     for a, b in [(0, 0), (5, 9), (33, 60)]:

@@ -13,6 +13,7 @@ from torusgeom.cli import _load_config, main
 from torusgeom.suites import (
     CHECKS,
     SUITE_NAMES,
+    CheckResult,
     SuiteConfig,
     SuiteReport,
     convergence_table,
@@ -106,6 +107,28 @@ def test_config_rejects_a_tolerance_key_no_check_reads():
     assert readers == set(SUITE_NAMES) - {"symplectic"}
     for suite in readers:
         assert SuiteConfig(tolerances={suite: 0.5}).tol(suite) == 0.5
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"seeds": []}, "seeds must be a nonempty list"),
+        ([{"seeds": [1]}], "config root must be a JSON object"),
+        ({"tolerances": [1]}, "tolerances must be an object of suite -> number"),
+    ],
+    ids=["no-seeds", "list-root", "tolerance-list"],
+)
+def test_config_from_dict_rejects_malformed_json(data, message):
+    with pytest.raises(ValueError, match=message):
+        SuiteConfig.from_dict(data)
+
+
+def test_config_echo_reads_back_to_the_same_config():
+    config = SuiteConfig.from_dict({**SMALL, "tolerances": {"momentum": 1e-7}})
+    echo = config.echo()
+    assert list(echo) == ["grid_sizes", "seeds", "kmax", "suites", "tolerances"]
+    assert echo == json.loads(json.dumps(echo))
+    assert SuiteConfig.from_dict(echo) == config
 
 
 # ------------------------------------------------------------- suite runs
@@ -288,6 +311,23 @@ def test_convergence_table_empty_warning():
     assert csv_text.strip() == "check,N,residual,ratio,flag"
 
 
+def test_convergence_table_flags_a_slow_decay_and_a_plateau():
+    # ratios 0.5 (above the 1e-2 ratio tolerance, below 1) and 1.2, far above the floor
+    config = SuiteConfig(grid_sizes=(32, 48, 64), suites=("convergence",))
+    records = [
+        CheckResult("convergence", "lemma1_residual", seed, n, 4, res, 1.0, True, 0.0)
+        for seed in (0, 1)
+        for n, res in ((32, 1e-3), (48, 5e-4), (64, 6e-4))
+    ]
+    csv_text, warning = convergence_table(SuiteReport(config, records, 0.0, []))
+    assert warning is None
+    assert csv_text.splitlines()[1:] == [
+        "lemma1_residual,32,1.000000e-03,,first",
+        "lemma1_residual,48,5.000000e-04,5.000000e-01,decaying",
+        "lemma1_residual,64,6.000000e-04,1.200000e+00,flat",
+    ]
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -330,6 +370,21 @@ def test_suites_flag_keeps_every_other_config_field(tmp_path):
 
 def test_cli_exit_2_on_missing_config(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--suites", ","], "--suites was given but named no suites"),
+        (["--record", "a:1"], "--record wants NAME:SEED:N, got 'a:1'"),
+    ],
+    ids=["empty-suites", "short-record"],
+)
+def test_cli_usage_errors_exit_2_with_their_message(tmp_path, capsys, args, message):
+    out = tmp_path / "r.json"
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_record_flag(tmp_path):

@@ -154,6 +154,18 @@ def _non_closed(gp, a, b):
     return float(np.mean(gp.g11.values ** 2)) * tg.omega(gp, a, b)
 
 
+def test_closedness_defect_converges_at_second_order():
+    # Omega's defect sits at roundoff, so this non-closed form (the one
+    # closedness_sensitivity uses) is what shows the central step's O(eps^2)
+    # error: halving eps divides D(eps) - D(eps/2) by 4, where a one-sided
+    # step would give about 2 and a Richardson step about 16
+    g = sampling.random_compatible_metric(tg.Grid(32), 3)
+    hs = [sampling.random_tangent(g, k) for k in (4, 5, 6)]
+    d = [tg.closedness_defect(g, *hs, eps, _non_closed) for eps in (4e-3, 2e-3, 1e-3)]
+    assert abs(d[2]) > 1e-2
+    assert 3.5 <= (d[0] - d[1]) / (d[1] - d[2]) <= 4.5
+
+
 def _closedness_reference(g, hs, eps, form):
     """The six-term defect with its own (g_eps, g_-eps) pair for each of its
     nine difference quotients: 18 metric_path calls."""
