@@ -33,7 +33,7 @@ print("int S mu =", total)
 print("Ricci relation residual:", tg.ricci_relation_residual(g))
 
 # The induced complex structure squares to -identity and preserves g
-i = tg.complex_structure(g).stack()
+i = tg.complex_structure(g)
 i2 = np.einsum("ikab,kjab->ijab", i, i)
 i2[0, 0] += 1
 i2[1, 1] += 1

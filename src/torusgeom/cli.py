@@ -97,11 +97,6 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config, args.suites)
         record = _parse_record(args.record) if args.record else None
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    try:
         report = run_suites(config, record_filter=record)
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -32,7 +32,6 @@ from .riemann import (
     covariant_divergence,
     metric_lie_derivative,
     raise_sym2,
-    trace_sym2,
 )
 from .symplectic import TangentVector, tracefree_project
 
@@ -92,21 +91,21 @@ def div_free_from_stream(
 def fundamental_vector(X: DivFreeField, g: Metric, trace_tol: float = 1e-9) -> TangentVector:
     """Infinitesimal action X.g = -L_X g; g-trace-free for compatible g.
 
-    The trace is asserted, not projected: a residual above trace_tol means
-    the compatibility precondition is broken.  The default tolerance is for
-    desk-scale grids (N >= 64); coarse grids alias harder and may pass a
-    looser bound explicitly.
+    The trace is asserted, not projected, by the TangentVector gate at
+    trace_tol * max|L_X g|: a residual above it means the compatibility
+    precondition is broken.  The default tolerance is for desk-scale grids
+    (N >= 64); coarse grids alias harder and may pass a looser bound
+    explicitly.
     """
     lie = metric_lie_derivative(X.vector, g)
     h = SymTensor2.from_stack(g.grid, -lie.stack())
-    scale = max(h.max_abs(), 1e-30)
-    tr = trace_sym2(h, g).max_abs()
-    if tr > trace_tol * max(scale, 1.0):
+    try:
+        return TangentVector(g, h, trace_tol)
+    except ValueError as err:
         raise ValueError(
-            f"-L_X g has g-trace {tr:.3e}; metric is not volume-compatible "
-            "or X is not divergence-free"
-        )
-    return TangentVector(g, h, max(trace_tol, 1e-10))
+            f"-L_X g has g-trace above its limit ({err}); metric is not "
+            "volume-compatible or X is not divergence-free"
+        ) from err
 
 
 def pairing_kappa(X: DivFreeField, alpha: OneForm) -> float:
@@ -148,10 +147,11 @@ class DiscreteDiffeo:
 
     forward/inverse hold the images of the lattice points in lifted
     coordinates, shape (2, n, n).  The inverse is computed by reverse-time
-    flow, not by map inversion.  det_forward, when present, is det DPhi at
+    flow, not by map inversion.  det_forward, which flow sets, is det DPhi at
     the lattice from the variational (tangent-map) flow, which is RK4-limited
-    rather than limited by re-differentiating the sampled map.  The arrays
-    are read-only copies, so the cached volume_defect cannot go stale.
+    rather than limited by re-differentiating the sampled map; volume_defect
+    needs it.  The arrays are read-only copies, so the cached volume_defect
+    cannot go stale.
     """
 
     grid: Grid
@@ -182,25 +182,18 @@ class DiscreteDiffeo:
         return np.asarray(points) + Interpolator([d.x1, d.x2])(points).T
 
     def volume_defect(self) -> float:
-        """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f.
-
-        Uses the variational-flow determinant when available; otherwise the
-        Jacobian comes from spectral derivatives of the sampled displacement
-        (which adds a resampling error on top of the RK4 one).  Computed once.
-        """
+        """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f with det DPhi = det_forward;
+        a map without det_forward is rejected.  Computed once."""
         if self._volume_defect is None:
             object.__setattr__(self, "_volume_defect", self._compute_volume_defect())
         return self._volume_defect
 
     def _compute_volume_defect(self) -> float:
-        if self.det_forward is not None:
-            det = self.det_forward
-        else:
-            jac = self._jacobian(self.forward)
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        if self.det_forward is None:
+            raise ValueError("volume_defect needs det_forward, the variational-flow determinant")
         f = self.volume.density
         f_phi = Interpolator([f])(self.forward.reshape(2, -1).T)[0].reshape(f.values.shape)
-        return float(np.max(np.abs(f_phi * det - f.values)) / np.max(np.abs(f.values)))
+        return float(np.max(np.abs(f_phi * self.det_forward - f.values)) / np.max(np.abs(f.values)))
 
     def roundtrip_residual(self) -> float:
         """sup distance of Phi(Phi^-1(x)) from x."""

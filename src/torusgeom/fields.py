@@ -210,15 +210,6 @@ class ContraSymTensor2(Tensor):
     c22 = Component((1, 1))
 
 
-class MixedTensor(Tensor):
-    """(1,1)-tensor T^i_j, stored as a (2, 2, n, n) array, upper index first."""
-
-    t11 = Component((0, 0))
-    t12 = Component((0, 1))
-    t21 = Component((1, 0))
-    t22 = Component((1, 1))
-
-
 class TwoForm(Tensor):
     """2-form w = c12 dx^dy, stored by its single coefficient as an (n, n) array."""
 
@@ -292,14 +283,14 @@ def random_band_limited(
     spec = np.zeros((n, n), dtype=complex)
     dc = rng.standard_normal()
     spec[0, 0] = 0.0 if zero_mean else dc
-    # half-space of modes: p > 0, or p == 0 and q > 0; conjugates fill the rest
-    for p in range(0, kmax + 1):
-        qlo = 1 if p == 0 else -kmax
-        for q in range(qlo, kmax + 1):
-            re, im = rng.standard_normal(2)
-            c = 0.5 * (re + 1j * im) * decay ** math.hypot(p, q)
-            spec[p % n, q % n] += c
-            spec[(-p) % n, (-q) % n] += np.conj(c)
+    # half-space of modes, drawn in this order: p > 0, or p == 0 and q > 0;
+    # conjugates fill the rest
+    modes = [(p, q) for p in range(kmax + 1) for q in range(1 if p == 0 else -kmax, kmax + 1)]
+    p, q = np.array(modes, dtype=int).reshape(-1, 2).T
+    re, im = rng.standard_normal((len(modes), 2)).T
+    c = 0.5 * (re + 1j * im) * np.array([decay ** math.hypot(*k) for k in modes])
+    spec[p % n, q % n] += c
+    spec[-p % n, -q % n] += np.conj(c)
     values = np.fft.ifft2(spec).real * n * n
     return ScalarField(grid, values)
 
@@ -433,29 +424,15 @@ class Interpolator:
             kept[:, : k + 1, : k + 1] = c[:, : k + 1, : k + 1]
             kept[:, m - k :, : k + 1] = c[:, n - k :, : k + 1]
             c = kept
-        self._band, self._eval_n, self._dropped = k, m, dropped
+        # K, M and the worst dropped l1 mass over max|f| (see _dropped_ratio)
+        self.band, self.eval_n, self.dropped = k, m, dropped
         self._k = 2.0 * np.pi * np.arange(1.0, m // 2)[:, None]  # 2 pi k, k = 1..M/2-1
         self._packed = _fold(c, 1.0 / (n * n))
-
-    @property
-    def band(self) -> int:
-        """K, the largest |k|_inf evaluated (n/2 on the full band)."""
-        return self._band
-
-    @property
-    def eval_n(self) -> int:
-        """M, the grid size the evaluator runs on."""
-        return self._eval_n
-
-    @property
-    def dropped(self) -> float:
-        """The worst dropped l1 mass over max|f| (see _dropped_ratio)."""
-        return self._dropped
 
     def _basis(self, coords: np.ndarray, derivative: bool) -> tuple[np.ndarray, ...]:
         # (M, m) rows 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
         # from z^k = z^(k-1) z, one contiguous row per step, and their d/dt
-        h = self._eval_n // 2
+        h = self.eval_n // 2
         z = np.exp(2j * np.pi * coords)
         e = np.empty((h + 1, coords.shape[0]), dtype=complex)
         e[0] = 1.0
@@ -477,7 +454,7 @@ class Interpolator:
             raise ValueError("derivatives need an Interpolator built with derivatives=True")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.empty((3 if derivatives else 1, self._nfields, pts.shape[0]))
-        shape = (self._nfields, self._eval_n, -1)
+        shape = (self._nfields, self.eval_n, -1)
         for lo in range(0, pts.shape[0], POINT_BLOCK):
             block = slice(lo, lo + POINT_BLOCK)
             x, y = pts[block].T

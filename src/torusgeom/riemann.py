@@ -13,7 +13,6 @@ import numpy as np
 from .fields import (
     Component,
     Grid,
-    MixedTensor,
     OneForm,
     ScalarField,
     SymTensor2,
@@ -99,8 +98,9 @@ class Metric(Tensor):
     Metric.from_stack(grid, arr, volume=mu)); compatibility is guaranteed by
     the factories (project_compatible, metric_path) and can be re-checked
     through compatibility_residual().  Derived data is computed on first use
-    and cached read-only: inverse_stack (g^ij), gradient_stack (d_m g_pq),
-    christoffel, scalar_curvature and ricci_stack.
+    and cached read-only: the arrays inverse_stack (g^ij), gradient_stack
+    (d_m g_pq), christoffel (Gamma^k_ij) and ricci_stack (R_ij), and the
+    field scalar_curvature.
     """
 
     g11 = Component((0, 0))
@@ -143,9 +143,9 @@ class Metric(Tensor):
         f = self.volume.density.values
         return float(np.max(np.abs(np.sqrt(self.det_values()) - f)) / np.max(np.abs(f)))
 
-    def christoffel(self) -> "Christoffel":
-        return self._cached("gamma", lambda g: Christoffel.from_stack(
-            g.grid, _levi_civita(g.inverse_stack(), g.gradient_stack())))
+    def christoffel(self) -> np.ndarray:
+        """Gamma^k_ij as a read-only (2, 2, 2, n, n) array [k, i, j], symmetric in (i, j)."""
+        return self._cached("gamma", lambda g: _levi_civita(g.inverse_stack(), g.gradient_stack()))
 
     def scalar_curvature(self) -> ScalarField:
         return self._cached("scal", _scalar_curvature_impl)
@@ -153,18 +153,6 @@ class Metric(Tensor):
     def ricci_stack(self) -> np.ndarray:
         """R_ij as a read-only (2, 2, n, n) array."""
         return self._cached("ricci", _ricci_impl)
-
-
-class Christoffel(Tensor):
-    """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j), stored as
-    Gamma[k, i, j] of shape (2, 2, 2, n, n)."""
-
-    c111 = Component((0, 0, 0))
-    c112 = Component((0, 0, 1), (0, 1, 0))
-    c122 = Component((0, 1, 1))
-    c211 = Component((1, 0, 0))
-    c212 = Component((1, 0, 1), (1, 1, 0))
-    c222 = Component((1, 1, 1))
 
 
 def project_compatible(g_raw: SymTensor2, mu: VolumeForm) -> Metric:
@@ -203,22 +191,23 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def christoffel(g: Metric) -> Christoffel:
-    """Levi-Civita connection coefficients of g (cached on the metric)."""
+def christoffel(g: Metric) -> np.ndarray:
+    """Levi-Civita connection coefficients Gamma[k, i, j] of g, the metric's
+    cached read-only array."""
     return g.christoffel()
 
 
 def metricity_residual(g: Metric) -> float:
     """sup |nabla_k g_ij| over all components; ~0 certifies Levi-Civita."""
     gs = g.stack()
-    G = g.christoffel().stack()
+    G = g.christoffel()
     dg = g.gradient_stack()
     corr = np.einsum("lkiab,ljab->kijab", G, gs) + np.einsum("lkjab,ilab->kijab", G, gs)
     return float(np.max(np.abs(dg - corr)))
 
 
 def _scalar_curvature_impl(g: Metric) -> ScalarField:
-    G = g.christoffel().stack()
+    G = g.christoffel()
     # R^l_{212} = d_1 Gamma^l_22 - d_2 Gamma^l_12 + Gamma^l_1m Gamma^m_22
     #             - Gamma^l_2m Gamma^m_12; the two derivatives are one curl
     curl = _derivatives(np.stack([G[:, 1, 1], -G[:, 0, 1]]), summed=True)
@@ -236,7 +225,7 @@ def scalar_curvature(g: Metric) -> ScalarField:
 
 
 def _ricci_impl(g: Metric) -> np.ndarray:
-    G = g.christoffel().stack()
+    G = g.christoffel()
     # R_kj = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_im Gamma^m_jk
     #        - Gamma^i_jm Gamma^m_ik   (every term symmetric in j, k)
     term1 = _derivatives(G, summed=True)  # d_i Gamma^i_jk
@@ -258,7 +247,7 @@ def ricci_relation_residual(g: Metric) -> float:
 def cov_deriv_vector(X: VectorField, g: Metric) -> np.ndarray:
     """nabla_i X^k as array [i, k]."""
     Xs = X.stack()
-    G = g.christoffel().stack()
+    G = g.christoffel()
     dX = _derivatives(Xs)  # [i, k]
     return dX + np.einsum("kilab,lab->ikab", G, Xs)
 
@@ -266,7 +255,7 @@ def cov_deriv_vector(X: VectorField, g: Metric) -> np.ndarray:
 def cov_deriv_oneform(b: OneForm, g: Metric) -> np.ndarray:
     """nabla_i b_j as array [i, j]."""
     bs = b.stack()
-    G = g.christoffel().stack()
+    G = g.christoffel()
     db = _derivatives(bs)  # [i, j]
     return db - np.einsum("lijab,lab->ijab", G, bs)
 
@@ -274,7 +263,7 @@ def cov_deriv_oneform(b: OneForm, g: Metric) -> np.ndarray:
 def covariant_divergence(h: ContraSymTensor2, g: Metric) -> VectorField:
     """nabla_j h^{kj} for a symmetric contravariant 2-tensor."""
     hs = h.stack()
-    G = g.christoffel().stack()
+    G = g.christoffel()
     d1 = _derivatives(hs.swapaxes(0, 1), summed=True)  # d_j h^{kj}
     d2 = np.einsum("kjlab,ljab->kab", G, hs)
     d3 = np.einsum("jjlab,klab->kab", G, hs)
@@ -284,7 +273,7 @@ def covariant_divergence(h: ContraSymTensor2, g: Metric) -> VectorField:
 def divergence_vector(Y: VectorField, g: Metric) -> ScalarField:
     """Covariant divergence nabla_k Y^k."""
     Ys = Y.stack()
-    G = g.christoffel().stack()
+    G = g.christoffel()
     div = _derivatives(Ys, summed=True) + np.einsum("kklab,lab->ab", G, Ys)
     return ScalarField(g.grid, div)
 
@@ -321,14 +310,16 @@ def l2_norm_sym2(h: SymTensor2, g: Metric) -> float:
     return float(np.sqrt(np.mean(np.einsum("ijab,ijab->ab", hup, h.stack()) * f)))
 
 
-def complex_structure(g: Metric) -> MixedTensor:
-    """Almost complex structure I with mu(X, IX) > 0; I = -(g^{-1} mu).
+def complex_structure(g: Metric) -> np.ndarray:
+    """Almost complex structure I with mu(X, IX) > 0; I = -(g^{-1} mu), as a
+    read-only (2, 2, n, n) array I[i, j] = I^i_j.
 
     For the flat metric with unit density this is rotation by sign * pi/2,
     the matrix sign * [[0, -1], [1, 0]] (sign: the volume form's).
     """
     I = -np.einsum("ikab,kjab->ijab", g.inverse_stack(), g.volume.matrix())
-    return MixedTensor.from_stack(g.grid, I)
+    I.setflags(write=False)
+    return I
 
 
 def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:

@@ -7,8 +7,9 @@ checks declared without one read and the config may override.  `sweep` lists
 a check's (seed, N) points before anything runs; `run` returns the residual,
 or (residual, note).  The runner, `--record`, SUITE_NAMES and the tolerance
 lookup all read this table.  A point is the suite's class at one (seed, N),
-its seeded inputs cached properties dropped with it.  An exception fails
-only the record that raised it; a record reruns alone to the same result.
+its seeded inputs cached properties dropped with it; points share no state.
+An exception fails only the record that raised it; a record reruns alone to
+the same result.
 
 Seed policy: sweep suites consume config.seeds slices of documented length
 (momentum uses all seeds and switches on a harmonic part for the last 30%);
@@ -69,21 +70,14 @@ class Point:
                 sweep, tol = run.declared
                 CHECKS.append(Check(suite, name, tol, sweep, run))
 
-    def __init__(self, config: SuiteConfig, seed: int, n: int, shared: dict | None = None):
+    def __init__(self, config: SuiteConfig, seed: int, n: int):
         self.config, self.seed, self.n = config, seed, n
         self.kmax = config.kmax
         self.grid = Grid(n)
-        self.shared = {} if shared is None else shared
 
-    def once(self, key, build):
-        """`build()`, computed once per suite run, for a value that several points read."""
-        if key not in self.shared:
-            self.shared[key] = build()
-        return self.shared[key]
-
-    @property
+    @cached_property
     def flat_vol(self):
-        return self.once(("flat", self.n), lambda: sampling.flat_volume_form(self.grid))
+        return sampling.flat_volume_form(self.grid)
 
     @cached_property
     def vol(self):
@@ -200,7 +194,7 @@ class Riemannian(Point, suite="riemannian", tolerance=1e-9):
 
     @cached_property
     def I(self):
-        return riemann.complex_structure(self.g).stack()
+        return riemann.complex_structure(self.g)
 
     @check(desk(10), tolerance=1e-10)
     def compatibility(self):
@@ -332,8 +326,6 @@ def _asymptotic_order(errs) -> float:
     removes the pre-asymptotic bias.
     """
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    if len(orders) == 1:
-        return orders[0]
     return 2.0 * orders[-1] - orders[-2]
 
 
@@ -584,9 +576,8 @@ def _at_floor(res: float, prev: float, tol_ratio: float) -> bool:
 
 class Convergence(Point, suite="convergence", tolerance=1e-2):
     def dalpha_at(self, n: int) -> float:
-        """The seed's dalpha at size n, computed once per suite run."""
-        point = self if n == self.n else Convergence(self.config, self.seed, n)
-        return self.once(("dalpha", self.seed, n), lambda: point.dalpha)
+        """The seed's dalpha at size n, from a point of its own at another size."""
+        return (self if n == self.n else Convergence(self.config, self.seed, n)).dalpha
 
     @check(every_size, tolerance=1.0)
     def dalpha_residual(self):
@@ -663,24 +654,36 @@ class SuiteConfig:
     def from_dict(cls, data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValueError("config root must be a JSON object")
-        for key in data:
+        values = {}
+        for key, value in data.items():
             if key not in _FIELDS:
                 raise ValueError(f"unknown config field '{key}'; valid: {sorted(_FIELDS)}")
-        if not isinstance(data.get("tolerances", {}), dict):
-            raise ValueError("tolerances must be an object of suite -> number")
-        return cls(**{key: _FIELDS[key][0](value) for key, value in data.items()})
+            accepts, kind, read, _ = _FIELDS[key]
+            if not accepts(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            values[key] = read(value)
+        return cls(**values)
 
     def echo(self) -> dict:
-        return {key: write(getattr(self, key)) for key, (_, write) in _FIELDS.items()}
+        return {key: write(getattr(self, key)) for key, (*_, write) in _FIELDS.items()}
 
 
-# every config field, in report order: (read it from JSON, write it back to JSON)
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(item):
+    return lambda value: isinstance(value, list) and all(item(v) for v in value)
+
+
+# every config field, in report order: (whether a JSON value is accepted, what
+# is accepted, read it from JSON, write it back to JSON)
 _FIELDS = {
-    "grid_sizes": (lambda v: tuple(int(n) for n in v), list),
-    "seeds": (lambda v: tuple(int(s) for s in v), list),
-    "kmax": (int, int),
-    "suites": (lambda v: tuple(str(s) for s in v), list),
-    "tolerances": (dict, dict),
+    "grid_sizes": (_list_of(_integer), "a list of integers", tuple, list),
+    "seeds": (_list_of(_integer), "a list of integers", tuple, list),
+    "kmax": (_integer, "an integer", int, int),
+    "suites": (_list_of(lambda s: isinstance(s, str)), "a list of strings", tuple, list),
+    "tolerances": (lambda v: isinstance(v, dict), "an object of suite -> number", dict, dict),
 }
 
 
@@ -730,10 +733,10 @@ def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:
 
 
 def _run_suite(config: SuiteConfig, suite: str) -> list[CheckResult]:
-    records, shared, point = [], {}, None
+    records, point = [], None
     for (seed, n), checks in plan(config, suite).items():
         # the previous point lives on while this one builds, so the heap does not shrink and refault
-        point, previous = SUITES[suite](config, seed, n, shared), point
+        point, previous = SUITES[suite](config, seed, n), point
         records += [_run(c, point) for c in checks]
     return records
 

@@ -192,7 +192,7 @@ def _rk4_transport(g, loop, dt):
     (E1 along d/dx).  The frame is periodic, so the end frame is the start
     frame; the angle is only read mod 2 pi, which the test loops never reach.
     """
-    gam = g.christoffel().stack()  # [k, i, j]
+    gam = g.christoffel()  # [k, i, j]
     interp_gam = Interpolator([ScalarField(g.grid, gam[k, i, j])
                                for k in range(2) for i in range(2) for j in range(2)])
     g11, g12, g22 = Interpolator([g.g11, g.g12, g.g22])(loop.points[:1])[:, 0]
@@ -233,7 +233,7 @@ def _lattice_connection_form(g):
     lattice before it formed omega at its quadrature nodes."""
     grid = g.grid
     e1 = VectorField(ScalarField(grid, 1.0 / np.sqrt(g.g11.values)), tg.constant_field(grid, 0.0))
-    e2 = np.einsum("ijab,jab->iab", tg.complex_structure(g).stack(), e1.stack())
+    e2 = np.einsum("ijab,jab->iab", tg.complex_structure(g), e1.stack())
     nab = tg.riemann.cov_deriv_vector(e1, g)  # [i, k] = nabla_i E1^k
     return tg.OneForm.from_stack(grid, np.einsum("ikab,klab,lab->iab", nab, g.stack(), e2))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import diffeo, fields, sampling
+from torusgeom import diffeo, fields, riemann, sampling, symplectic
 from torusgeom.diffeo import FLOW_MAX_DT, DiscreteDiffeo
 from torusgeom.fields import OneForm
 
@@ -78,6 +78,13 @@ def test_flow_result_is_read_only_and_volume_defect_cached(grid, monkeypatch):
             arr[0, 0] += 1.0
 
 
+def test_volume_defect_needs_the_variational_determinant(grid):
+    mesh = np.stack(grid.meshes())
+    phi = DiscreteDiffeo(grid, mesh + 0.1, mesh - 0.1, sampling.flat_volume_form(grid))
+    with pytest.raises(ValueError, match="det_forward"):
+        phi.volume_defect()
+
+
 def _recording_interpolators(monkeypatch):
     built = []
 
@@ -141,6 +148,21 @@ def test_fundamental_vector_tracefree(grid, seed):
     g, X, _ = make_setup(grid, seed, harmonic=seed % 2 == 0)
     fv = tg.fundamental_vector(X, g)
     assert tg.trace_sym2(fv.h, g).max_abs() <= 1e-10
+
+
+def test_fundamental_vector_computes_the_trace_once(grid, monkeypatch):
+    # the TangentVector gate is the only trace gate
+    g, X, _ = make_setup(grid, 3)
+    calls = []
+
+    def counted(h, g):
+        calls.append(1)
+        return riemann.trace_sym2(h, g)
+
+    monkeypatch.setattr(symplectic, "trace_sym2", counted)
+    monkeypatch.setattr(diffeo, "trace_sym2", counted, raising=False)
+    tg.fundamental_vector(X, g)
+    assert len(calls) == 1
 
 
 def test_kappa_vanishes_on_exact_forms(grid):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,33 @@ def test_random_band_limited_deterministic(grid):
     a = tg.random_band_limited(grid, 9, 4, 0.5)
     b = tg.random_band_limited(grid, 9, 4, 0.5)
     assert np.array_equal(a.values, b.values)
+
+
+def _band_limited_by_loop(n, seed, kmax, decay, zero_mean):
+    """The sampler drawn one mode at a time, in its half-space order."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros((n, n), dtype=complex)
+    dc = rng.standard_normal()
+    spec[0, 0] = 0.0 if zero_mean else dc
+    for p in range(0, kmax + 1):
+        for q in range(1 if p == 0 else -kmax, kmax + 1):
+            re, im = rng.standard_normal(2)
+            c = 0.5 * (re + 1j * im) * decay ** math.hypot(p, q)
+            spec[p % n, q % n] += c
+            spec[(-p) % n, (-q) % n] += np.conj(c)
+    return np.fft.ifft2(spec).real * n * n
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64, 128])
+def test_random_band_limited_equals_the_per_mode_loop(n):
+    # every kmax < n/4 up to n = 64; at n = 128 the ends and a few between
+    for kmax in range(n // 4) if n <= 64 else (0, 1, 4, 15, 31):
+        for seed in (0, 1, 7, 12345, 2**40 + 3):
+            for decay in (0.5, 0.6):
+                for zero_mean in (False, True):
+                    f = tg.random_band_limited(Grid(n), seed, kmax, decay, zero_mean)
+                    want = _band_limited_by_loop(n, seed, kmax, decay, zero_mean)
+                    assert np.array_equal(f.values, want), (kmax, seed, decay, zero_mean)
 
 
 def test_random_band_limited_spectrum_support(grid):

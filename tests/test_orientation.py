@@ -48,7 +48,7 @@ def _oriented_quantities(grid):
         "omega": symplectic.omega(g, h, h2),
         "alpha": bundles.connection_alpha(g, h).stack(),
         "X": X.vector.stack(),
-        "I": riemann.complex_structure(g).stack(),
+        "I": riemann.complex_structure(g),
         "transport": bundles.frame_transport(g, bundles.Loop.square((0.37, 0.52), 0.4)),
         "momentum": bundles.momentum_residual(g, X, h),
         "dalpha": bundles.dalpha_defect(g, h),

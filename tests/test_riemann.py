@@ -83,7 +83,7 @@ def test_project_compatible_idempotent(grid):
 
 def test_christoffel_flat_vanishes(flat):
     gam = tg.christoffel(flat)
-    assert sup(gam.stack()) == 0.0
+    assert sup(gam) == 0.0
 
 
 def test_christoffel_closed_form_one_dim(grid):
@@ -93,11 +93,11 @@ def test_christoffel_closed_form_one_dim(grid):
     X, _ = grid.meshes()
     dphi = PHI_AMP * 2 * np.pi * np.cos(2 * np.pi * X)
     gam = tg.christoffel(g)
-    assert sup(gam.c111.values - dphi) <= 1e-10
-    assert sup(gam.c122.values - np.exp(-4 * phi) * dphi) <= 1e-10
-    assert sup(gam.c212.values + dphi) <= 1e-10
-    for other in (gam.c112, gam.c211, gam.c222):
-        assert sup(other.values) <= 1e-10
+    assert sup(gam[0, 0, 0] - dphi) <= 1e-10
+    assert sup(gam[0, 1, 1] - np.exp(-4 * phi) * dphi) <= 1e-10
+    assert sup(gam[1, 0, 1] + dphi) <= 1e-10
+    for other in (gam[0, 0, 1], gam[1, 0, 0], gam[1, 1, 1]):
+        assert sup(other) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -235,7 +235,7 @@ def test_covariant_divergence_flat_equals_plain_derivative(grid, flat):
 
 
 def test_complex_structure_flat_is_quarter_turn(grid, flat):
-    i = tg.complex_structure(flat).stack()
+    i = tg.complex_structure(flat)
     want = np.zeros_like(i)
     want[0, 1] = -1.0
     want[1, 0] = 1.0
@@ -245,7 +245,7 @@ def test_complex_structure_flat_is_quarter_turn(grid, flat):
 @pytest.mark.parametrize("seed", range(10))
 def test_complex_structure_squares_to_minus_id(grid, seed):
     g = sampling.random_compatible_metric(grid, seed, volume=sampling.random_volume_form(grid, seed + 50))
-    i = tg.complex_structure(g).stack()
+    i = tg.complex_structure(g)
     i2 = np.einsum("ikab,kjab->ijab", i, i)
     i2[0, 0] += 1.0
     i2[1, 1] += 1.0
@@ -255,7 +255,7 @@ def test_complex_structure_squares_to_minus_id(grid, seed):
 def test_complex_structure_preserves_metric(grid):
     # oracle: pointwise 2x2 contraction I^k_i I^l_j g_kl = g_ij
     g = sampling.random_compatible_metric(grid, 12)
-    i = tg.complex_structure(g).stack()
+    i = tg.complex_structure(g)
     gi = np.einsum("kiab,ljab,klab->ijab", i, i, g.stack())
     assert sup(gi - g.stack()) <= 1e-11
 
@@ -263,7 +263,7 @@ def test_complex_structure_preserves_metric(grid):
 def test_complex_structure_orientation(grid):
     # mu(X, IX) > 0 for X = d/dx
     g = sampling.random_compatible_metric(grid, 13, volume=sampling.random_volume_form(grid, 14))
-    i = tg.complex_structure(g).stack()
+    i = tg.complex_structure(g)
     f = g.volume.density.values
     # X = e1: (IX)^k = I^k_1; mu(X, IX) = mu_12 (IX)^2 = f * I^2_1
     assert np.min(f * i[1, 0]) > 0.0
@@ -278,3 +278,20 @@ def test_lie_derivative_coordinate_vs_nabla(grid, seed):
     lie_c = tg.metric_lie_derivative(x, g).stack()
     lie_n = tg.metric_lie_derivative_nabla(x, g).stack()
     assert sup(lie_c - lie_n) <= 1e-10
+
+
+def test_christoffel_is_the_cached_read_only_array(grid):
+    g = sampling.random_compatible_metric(grid, 6)
+    gam = g.christoffel()
+    assert isinstance(gam, np.ndarray) and gam.shape == (2, 2, 2, grid.n, grid.n)
+    assert g.christoffel() is gam and tg.christoffel(g) is gam
+    with pytest.raises(ValueError, match="read-only"):
+        gam[0, 0, 0] += 1.0
+
+
+def test_complex_structure_is_a_read_only_array(grid):
+    g = sampling.random_compatible_metric(grid, 7)
+    i = tg.complex_structure(g)
+    assert isinstance(i, np.ndarray) and i.shape == (2, 2, grid.n, grid.n)
+    with pytest.raises(ValueError, match="read-only"):
+        i[0, 1] += 1.0

@@ -109,18 +109,44 @@ def test_config_rejects_a_tolerance_key_no_check_reads():
         assert SuiteConfig(tolerances={suite: 0.5}).tol(suite) == 0.5
 
 
+# a field of the wrong JSON type is named, not coerced and not a TypeError
+MALFORMED_FIELDS = [
+    ({"seeds": 5}, "seeds must be a list of integers"),
+    ({"grid_sizes": None}, "grid_sizes must be a list of integers"),
+    ({"suites": 3}, "suites must be a list of strings"),
+    ({"kmax": [1]}, "kmax must be an integer"),
+    ({"kmax": True}, "kmax must be an integer"),
+    ({"seeds": [1.5, 2.7]}, "seeds must be a list of integers"),
+    ({"seeds": [0, False]}, "seeds must be a list of integers"),
+    ({"grid_sizes": [64.9]}, "grid_sizes must be a list of integers"),
+    ({"suites": "momentum"}, "suites must be a list of strings"),
+]
+MALFORMED_IDS = ["seeds-int", "grid-null", "suites-int", "kmax-list", "kmax-bool",
+                 "seeds-float", "seeds-bool", "grid-float", "suites-string"]
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
         ({"seeds": []}, "seeds must be a nonempty list"),
         ([{"seeds": [1]}], "config root must be a JSON object"),
         ({"tolerances": [1]}, "tolerances must be an object of suite -> number"),
+        *MALFORMED_FIELDS,
     ],
-    ids=["no-seeds", "list-root", "tolerance-list"],
+    ids=["no-seeds", "list-root", "tolerance-list", *MALFORMED_IDS],
 )
 def test_config_from_dict_rejects_malformed_json(data, message):
     with pytest.raises(ValueError, match=message):
         SuiteConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_FIELDS, ids=MALFORMED_IDS)
+def test_cli_malformed_config_field_is_a_config_error(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, data)
+    assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_config_echo_reads_back_to_the_same_config():
