@@ -27,9 +27,9 @@ for n in (16, 32, 64):
     err = np.max(np.abs(coarse.values - fine.values[::step, ::step]))
     print(f"  N={n:3d}: derivative error vs N=256 reference {err:.3e}")
 
-# Quadrature = lattice mean; exact for resolved trig polynomials
-w = tg.TwoForm(tg.constant_field(grid, 0.25))
-print("integral of 0.25 dx^dy:", tg.integrate(w))
+# Quadrature = lattice mean; exact for resolved trig polynomials.  A 2-form
+# w dx^dy is integrated from its (n, n) coefficient w
+print("integral of 0.25 dx^dy:", tg.integrate(tg.constant_field(grid, 0.25).values))
 
 # Seeded band-limited fields are the standard random test inputs
 u = tg.random_band_limited(grid, seed=7, kmax=4, decay=0.5)

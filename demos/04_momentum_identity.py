@@ -13,6 +13,8 @@ the laboratory's headline residual.  Fields with nonzero harmonic part are
 the directions a stream-function-only (exact) momentum map cannot see.
 """
 
+import numpy as np
+
 import torusgeom as tg
 from torusgeom import sampling
 from torusgeom.riemann import l2_norm_sym2, l2_norm_vector
@@ -45,5 +47,5 @@ print("Lemma 1 two-sided gap:", abs(lhs - rhs))
 
 # kappa descends to classes modulo exact forms
 phi = tg.random_band_limited(grid, 51, 4, 0.5)
-dphi = tg.OneForm(tg.partial(phi, 1), tg.partial(phi, 2))
+dphi = np.stack([tg.partial(phi, 1).values, tg.partial(phi, 2).values])  # 1-form components
 print("kappa against an exact form:", tg.pairing_kappa(X, dphi))

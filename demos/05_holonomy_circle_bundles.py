@@ -49,7 +49,7 @@ for side in (0.1, 0.05, 0.025):
 c = canonical_class(g)
 print("canonical class: chern =", c.chern,
       " holA = %.6f" % c.holA, " holB = %.6f" % c.holB,
-      " int curvature = %.2e" % tg.integrate(c.curvature))
+      " int curvature = %.2e" % tg.integrate(c.curvature.stack()))
 
 # The flat metric gives the trivial class
 print("flat class:", canonical_class(tg.flat_metric(grid)).holA)

@@ -29,11 +29,11 @@ import numpy as np
 from .fields import (
     Grid,
     Interpolator,
-    OneForm,
     ScalarField,
     TwoForm,
     _derivatives,
     _gauss_legendre,
+    _read_only,
     constant_field,
     integrate,
 )
@@ -133,7 +133,7 @@ class CircleBundleClass:
     def __post_init__(self):
         object.__setattr__(self, "holA", _canon_angle(self.holA))
         object.__setattr__(self, "holB", _canon_angle(self.holB))
-        total = integrate(self.curvature)
+        total = integrate(self.curvature.stack())
         if abs(total - TWO_PI * self.chern) > QUANTIZATION_TOL:
             raise ValueError(
                 f"curvature integral {total:.3e} is not 2*pi*{self.chern} "
@@ -172,10 +172,11 @@ def kobayashi_neg(c: CircleBundleClass) -> CircleBundleClass:
     return CircleBundleClass(curv, -c.holA, -c.holB, -c.chern)
 
 
-def connection_alpha(g: Metric, h: TangentVector) -> OneForm:
-    """Representative alpha_i = mu_ik nabla_j h^{kj} of the log-derivative class."""
-    y = covariant_divergence(raise_sym2(h.h, g), g).stack()
-    return OneForm.from_stack(g.grid, g.volume.contract(y))
+def connection_alpha(g: Metric, h: TangentVector) -> np.ndarray:
+    """Representative alpha_i = mu_ik nabla_j h^{kj} of the log-derivative
+    class, as a read-only (2, n, n) array."""
+    y = covariant_divergence(raise_sym2(h.h, g), g)
+    return _read_only(g.volume.contract(y))
 
 
 def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
@@ -183,16 +184,16 @@ def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
     y = covariant_divergence(raise_sym2(h.h, g), g)  # nabla_j h^{kj}, built once
     m = g.volume.coefficient()
     # alpha = (mu_12 y^2, -mu_12 y^1), so d alpha = d_1 alpha_2 - d_2 alpha_1 = -div(mu_12 y)
-    dalpha = -_derivatives(m * y.stack(), summed=True)
+    dalpha = -_derivatives(m * y, summed=True)
     return ScalarField(g.grid, dalpha + m * divergence_vector(y, g).values)
 
 
-def divergence_identity_defect(g: Metric, Y) -> TwoForm:
-    """Defect of nabla_i(Y^k mu_kj) - nabla_j(Y^k mu_ki) = (nabla_k Y^k) mu_ij."""
-    beta = OneForm.from_stack(g.grid, -g.volume.contract(Y.stack()))  # Y^k mu_kj
-    nab = cov_deriv_oneform(beta, g)
+def divergence_identity_defect(g: Metric, Y: np.ndarray) -> np.ndarray:
+    """Defect of nabla_i(Y^k mu_kj) - nabla_j(Y^k mu_ki) = (nabla_k Y^k) mu_ij for
+    a (2, n, n) array Y^k, as the read-only (n, n) coefficient of dx^dy."""
+    nab = cov_deriv_oneform(-g.volume.contract(Y), g)  # of beta_j = Y^k mu_kj
     div = divergence_vector(Y, g).values
-    return TwoForm.from_stack(g.grid, nab[0, 1] - nab[1, 0] - div * g.volume.coefficient())
+    return _read_only(nab[0, 1] - nab[1, 0] - div * g.volume.coefficient())
 
 
 def _transport(interp: Interpolator, sign: float, loop: Loop) -> float:
@@ -235,7 +236,7 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * g.volume.coefficient())
     interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
     theta_a, theta_b = (_transport(interp, g.volume.sign, Loop.generator(axis)) for axis in (1, 2))
-    chern = int(round(integrate(curv) / TWO_PI))
+    chern = int(round(integrate(curv.stack()) / TWO_PI))
     return CircleBundleClass(curv, -KAPPA_CONV * theta_a, -KAPPA_CONV * theta_b, chern)
 
 
@@ -265,10 +266,12 @@ def _loop_nodes(loop: Loop) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(pts), np.concatenate(wvec)
 
 
-def loop_integral_oneform(alpha: OneForm, loop: Loop) -> float:
-    """Line integral of a 1-form along a polyline loop (nodes: _loop_nodes)."""
+def loop_integral_oneform(alpha: np.ndarray, loop: Loop) -> float:
+    """Line integral of the 1-form with (2, n, n) components alpha_i along a
+    polyline loop (nodes: _loop_nodes)."""
     pts, wvec = _loop_nodes(loop)
-    return float(np.sum(Interpolator([alpha.a1, alpha.a2])(pts).T * wvec))
+    grid = Grid(alpha.shape[-1])
+    return float(np.sum(Interpolator([ScalarField(grid, a) for a in alpha])(pts).T * wvec))
 
 
 def holonomy_derivative_check(

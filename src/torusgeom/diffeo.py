@@ -17,12 +17,12 @@ import numpy as np
 from .fields import (
     Grid,
     Interpolator,
-    OneForm,
     ScalarField,
     SymTensor2,
     VectorField,
     _as_float_array,
     _derivatives,
+    _read_only,
 )
 from .riemann import (
     Metric,
@@ -108,16 +108,17 @@ def fundamental_vector(X: DivFreeField, g: Metric, trace_tol: float = 1e-9) -> T
         ) from err
 
 
-def pairing_kappa(X: DivFreeField, alpha: OneForm) -> float:
-    """Duality pairing int (X . alpha) mu; descends to classes mod exact forms."""
+def pairing_kappa(X: DivFreeField, alpha: np.ndarray) -> float:
+    """Duality pairing int (X . alpha) mu of the 1-form with (2, n, n)
+    components alpha_i; descends to classes mod exact forms."""
     f = X.volume.density.values
-    xs, al = X.vector.stack(), alpha.stack()
-    return float(np.mean((xs[0] * al[0] + xs[1] * al[1]) * f))
+    xs = X.vector.stack()
+    return float(np.mean((xs[0] * alpha[0] + xs[1] * alpha[1]) * f))
 
 
 def lemma1_rhs(g: Metric, X: DivFreeField, h: TangentVector) -> float:
     """- int X^i mu_ik (nabla_j h^{kj}) mu  (h raised twice by g)."""
-    y = covariant_divergence(raise_sym2(h.h, g), g).stack()
+    y = covariant_divergence(raise_sym2(h.h, g), g)
     xs = X.vector.stack()
     f = g.volume.density.values
     return float(-np.mean(f * g.volume.coefficient() * (xs[0] * y[1] - xs[1] * y[0])))
@@ -134,7 +135,7 @@ def skew_defect_mu_h(g: Metric, h: TangentVector) -> float:
 def integration_by_parts_residual(g: Metric, X: DivFreeField, h: TangentVector) -> float:
     """| int (nabla_j X^i) mu_ik h^{kj} mu + int X^i mu_ik nabla_j h^{kj} mu |."""
     nab = cov_deriv_vector(X.vector, g)  # [j, i] = nabla_j X^i
-    hup = raise_sym2(h.h, g).stack()
+    hup = raise_sym2(h.h, g)
     mu = g.volume.matrix()
     f = g.volume.density.values
     lhs = float(np.mean(np.einsum("jiab,ikab,kjab->ab", nab, mu, hup) * f))
@@ -178,8 +179,8 @@ class DiscreteDiffeo:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """The forward map at points (m, 2), by interpolating its displacement."""
-        d = VectorField.from_stack(self.grid, self.forward - self._mesh())
-        return np.asarray(points) + Interpolator([d.x1, d.x2])(points).T
+        d = _read_only(self.forward - self._mesh())
+        return np.asarray(points) + Interpolator([ScalarField(self.grid, c) for c in d])(points).T
 
     def volume_defect(self) -> float:
         """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f with det DPhi = det_forward;
@@ -286,17 +287,26 @@ def _pushforward_sym2_stack(phi: DiscreteDiffeo, comps: list[ScalarField]) -> np
     return 0.5 * (out + out.transpose(1, 0, 2, 3))
 
 
-def pushforward_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
-    """Push g forward along phi; the result is re-certified compatible
-    within PUSHFORWARD_COMPAT_TOL."""
+def _push_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
+    """phi_* g, before pushforward_metric's compatibility gate."""
     arr = _pushforward_sym2_stack(phi, [g.g11, g.g12, g.g22])
-    out = Metric.from_stack(phi.grid, arr, volume=g.volume)
-    res = out.compatibility_residual()
+    return Metric.from_stack(phi.grid, arr, volume=g.volume)
+
+
+def _certify_compatible(pushed: Metric) -> Metric:
+    """pushed, once its compatibility residual is within PUSHFORWARD_COMPAT_TOL."""
+    res = pushed.compatibility_residual()
     if res > PUSHFORWARD_COMPAT_TOL:
         raise ValueError(
             f"pushforward lost compatibility: residual {res:.3e} > {PUSHFORWARD_COMPAT_TOL}"
         )
-    return out
+    return pushed
+
+
+def pushforward_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
+    """Push g forward along phi; the result is re-certified compatible
+    within PUSHFORWARD_COMPAT_TOL."""
+    return _certify_compatible(_push_metric(phi, g))
 
 
 def pushforward_tangent(

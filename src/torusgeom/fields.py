@@ -15,18 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself, made read-only; every array the package returns is."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_float_array(values) -> np.ndarray:
     """Read-only float64 array.  A read-only view of a read-only array that
-    owns its memory (a tensor's component) is shared; anything else is copied."""
+    owns its memory (a tensor's component, a row of a returned array) is
+    shared; anything else is copied."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         owner = values if values.base is None else values.base
         if isinstance(owner, np.ndarray) and owner.flags.owndata and not (
             owner.flags.writeable or values.flags.writeable
         ):
             return values
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+    return _read_only(np.array(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,6 @@ class ScalarField:
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {vals.shape}")
         object.__setattr__(self, "values", vals)
-
-    # Pointwise arithmetic; other may be a ScalarField or a scalar.
-    def _binop(self, other, op):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, op(self.values, other.values))
-        return ScalarField(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    __rmul__ = __mul__
 
     def mean(self) -> float:
         return float(np.mean(self.values))
@@ -161,8 +149,7 @@ class Tensor:
         for comp, vals in zip(self._components, values):
             for at in comp.positions:
                 arr[at] = vals
-        arr.setflags(write=False)
-        vars(self).update(attrs, grid=grid, _arr=arr)
+        vars(self).update(attrs, grid=grid, _arr=_read_only(arr))
         self.__post_init__()
 
     def __post_init__(self):
@@ -183,13 +170,6 @@ class VectorField(Tensor):
     x2 = Component((1,))
 
 
-class OneForm(Tensor):
-    """Covariant components a_1, a_2, stored as a (2, n, n) array."""
-
-    a1 = Component((0,))
-    a2 = Component((1,))
-
-
 class SymTensor2(Tensor):
     """Symmetric covariant 2-tensor h_11, h_12 (= h_21), h_22, stored as a
     (2, 2, n, n) array with h_12 at both off-diagonal positions."""
@@ -200,14 +180,6 @@ class SymTensor2(Tensor):
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._arr)))
-
-
-class ContraSymTensor2(Tensor):
-    """Symmetric contravariant 2-tensor h^11, h^12, h^22, stored like SymTensor2."""
-
-    c11 = Component((0, 0))
-    c12 = Component((0, 1), (1, 0))
-    c22 = Component((1, 1))
 
 
 class TwoForm(Tensor):
@@ -223,9 +195,7 @@ def _ik(n: int, axis: int) -> np.ndarray:
     its odd derivative is not representable."""
     ik = 2j * np.pi * np.fft.fftfreq(n) * n
     ik[n // 2] = 0.0
-    ik = ik[:, None] if axis == 1 else ik[None, : n // 2 + 1]
-    ik.setflags(write=False)
-    return ik
+    return _read_only(ik[:, None] if axis == 1 else ik[None, : n // 2 + 1])
 
 
 def _derivatives(arr: np.ndarray, axes=(1, 2), summed: bool = False) -> np.ndarray:
@@ -256,10 +226,11 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, _derivatives(f.values, (axis,))[0])
 
 
-def integrate(w: TwoForm) -> float:
-    """Integral of w over the torus; the lattice mean is exact quadrature
-    for trig polynomials below the Nyquist frequency."""
-    return w.c12.mean()
+def integrate(w: np.ndarray) -> float:
+    """Integral over the torus of the 2-form w dx^dy, given by its (n, n)
+    coefficient w; the lattice mean is exact quadrature for trig polynomials
+    below the Nyquist frequency."""
+    return float(np.mean(w))
 
 
 def random_band_limited(
@@ -483,10 +454,7 @@ def interpolate(f: ScalarField, point) -> float | np.ndarray:
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
+    return tuple(map(_read_only, np.polynomial.legendre.leggauss(order)))
 
 
 def region_integral(f: ScalarField, rect, order: int = 32) -> float:

@@ -13,15 +13,13 @@ import numpy as np
 from .fields import (
     Component,
     Grid,
-    OneForm,
     ScalarField,
     SymTensor2,
-    ContraSymTensor2,
     Tensor,
-    TwoForm,
     VectorField,
     _check_same_grid,
     _derivatives,
+    _read_only,
     constant_field,
     integrate,
 )
@@ -71,11 +69,10 @@ class VolumeForm(Tensor):
             raise ValueError(f"volume density must be positive; min {fmin} at lattice ({a}, {b})")
         sign = EPS_12
         mu = sign * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None] * f  # f eps_ij
-        mu.setflags(write=False)
-        vars(self).update(sign=sign, _matrix=mu)
+        vars(self).update(sign=sign, _matrix=_read_only(mu))
 
     def total(self) -> float:
-        return integrate(TwoForm(self.density))
+        return integrate(self._arr)
 
     def matrix(self) -> np.ndarray:
         """mu_ij as a read-only (2, 2, n, n) array, built once."""
@@ -155,17 +152,15 @@ class Metric(Tensor):
         return self._cached("ricci", _ricci_impl)
 
 
-def project_compatible(g_raw: SymTensor2, mu: VolumeForm) -> Metric:
-    """Conformally rescale a positive-definite tensor so sqrt(det g) = f.
+def project_compatible(raw: np.ndarray, mu: VolumeForm) -> Metric:
+    """Conformally rescale a positive-definite (2, 2, n, n) array so sqrt(det g) = f.
 
-    Returns (f / sqrt(det g_raw)) * g_raw, which has determinant f^2 exactly;
+    Returns (f / sqrt(det raw)) * raw, which has determinant f^2 exactly;
     idempotent on already compatible metrics.
     """
-    grid = _check_same_grid(g_raw, mu)
-    raw = g_raw.stack()
     det = _check_positive_definite("input tensor", raw)
     scale = mu.density.values / np.sqrt(det)
-    return Metric.from_stack(grid, scale * raw, volume=mu)
+    return Metric.from_stack(mu.grid, scale * raw, volume=mu)
 
 
 def flat_metric(grid: Grid) -> Metric:
@@ -252,29 +247,27 @@ def cov_deriv_vector(X: VectorField, g: Metric) -> np.ndarray:
     return dX + np.einsum("kilab,lab->ikab", G, Xs)
 
 
-def cov_deriv_oneform(b: OneForm, g: Metric) -> np.ndarray:
-    """nabla_i b_j as array [i, j]."""
-    bs = b.stack()
+def cov_deriv_oneform(b: np.ndarray, g: Metric) -> np.ndarray:
+    """nabla_i b_j as array [i, j] of the (2, n, n) covariant components b_j."""
     G = g.christoffel()
-    db = _derivatives(bs)  # [i, j]
-    return db - np.einsum("lijab,lab->ijab", G, bs)
+    db = _derivatives(b)  # [i, j]
+    return db - np.einsum("lijab,lab->ijab", G, b)
 
 
-def covariant_divergence(h: ContraSymTensor2, g: Metric) -> VectorField:
-    """nabla_j h^{kj} for a symmetric contravariant 2-tensor."""
-    hs = h.stack()
+def covariant_divergence(h: np.ndarray, g: Metric) -> np.ndarray:
+    """nabla_j h^{kj} of a symmetric contravariant (2, 2, n, n) array h^{kj},
+    as a read-only (2, n, n) array."""
     G = g.christoffel()
-    d1 = _derivatives(hs.swapaxes(0, 1), summed=True)  # d_j h^{kj}
-    d2 = np.einsum("kjlab,ljab->kab", G, hs)
-    d3 = np.einsum("jjlab,klab->kab", G, hs)
-    return VectorField.from_stack(g.grid, d1 + d2 + d3)
+    d1 = _derivatives(h.swapaxes(0, 1), summed=True)  # d_j h^{kj}
+    d2 = np.einsum("kjlab,ljab->kab", G, h)
+    d3 = np.einsum("jjlab,klab->kab", G, h)
+    return _read_only(d1 + d2 + d3)
 
 
-def divergence_vector(Y: VectorField, g: Metric) -> ScalarField:
-    """Covariant divergence nabla_k Y^k."""
-    Ys = Y.stack()
+def divergence_vector(Y: np.ndarray, g: Metric) -> ScalarField:
+    """Covariant divergence nabla_k Y^k of a (2, n, n) array Y^k."""
     G = g.christoffel()
-    div = _derivatives(Ys, summed=True) + np.einsum("kklab,lab->ab", G, Ys)
+    div = _derivatives(Y, summed=True) + np.einsum("kklab,lab->ab", G, Y)
     return ScalarField(g.grid, div)
 
 
@@ -284,16 +277,18 @@ def trace_sym2(h: SymTensor2, g: Metric) -> ScalarField:
     return ScalarField(g.grid, tr)
 
 
-def raise_sym2(h: SymTensor2, g: Metric) -> ContraSymTensor2:
-    """h^{ij} = g^{ik} g^{jl} h_kl."""
+def raise_sym2(h: SymTensor2, g: Metric) -> np.ndarray:
+    """h^{ij} = g^{ik} g^{jl} h_kl as a read-only (2, 2, n, n) array, exactly
+    symmetric: h^{21} is h^{12}."""
     ginv = g.inverse_stack()
     up = np.einsum("ikab,jlab,klab->ijab", ginv, ginv, h.stack())
-    return ContraSymTensor2.from_stack(g.grid, up)
+    up[1, 0] = up[0, 1]
+    return _read_only(up)
 
 
-def lower_vector(X: VectorField, g: Metric) -> OneForm:
-    low = np.einsum("ijab,jab->iab", g.stack(), X.stack())
-    return OneForm.from_stack(g.grid, low)
+def lower_vector(X: VectorField, g: Metric) -> np.ndarray:
+    """X_i = g_ij X^j as a read-only (2, n, n) array."""
+    return _read_only(np.einsum("ijab,jab->iab", g.stack(), X.stack()))
 
 
 def l2_norm_vector(X: VectorField, g: Metric) -> float:
@@ -305,7 +300,7 @@ def l2_norm_vector(X: VectorField, g: Metric) -> float:
 
 def l2_norm_sym2(h: SymTensor2, g: Metric) -> float:
     """sqrt( int |h|_g^2 mu ) with both indices raised by g."""
-    hup = raise_sym2(h, g).stack()
+    hup = raise_sym2(h, g)
     f = g.volume.density.values
     return float(np.sqrt(np.mean(np.einsum("ijab,ijab->ab", hup, h.stack()) * f)))
 
@@ -317,9 +312,7 @@ def complex_structure(g: Metric) -> np.ndarray:
     For the flat metric with unit density this is rotation by sign * pi/2,
     the matrix sign * [[0, -1], [1, 0]] (sign: the volume form's).
     """
-    I = -np.einsum("ikab,kjab->ijab", g.inverse_stack(), g.volume.matrix())
-    I.setflags(write=False)
-    return I
+    return _read_only(-np.einsum("ikab,kjab->ijab", g.inverse_stack(), g.volume.matrix()))
 
 
 def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:
@@ -359,5 +352,5 @@ def linearized_scalar_curvature(g: Metric, h: SymTensor2) -> ScalarField:
     lap_tr = laplace_beltrami(tr, g)
     hup = raise_sym2(h, g)
     divdiv = divergence_vector(covariant_divergence(hup, g), g)
-    ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), hup.stack())
+    ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), hup)
     return ScalarField(g.grid, -lap_tr.values + divdiv.values - ric_h)

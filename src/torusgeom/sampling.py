@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, OneForm, ScalarField, SymTensor2, random_band_limited
+from .fields import Grid, ScalarField, SymTensor2, _read_only, random_band_limited
 from .riemann import Metric, VolumeForm, project_compatible
 from .symplectic import TangentVector, tracefree_project
 
@@ -46,9 +46,8 @@ def flat_volume_form(grid: Grid) -> VolumeForm:
 
 
 def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) -> SymTensor2:
-    return SymTensor2(
-        *(amp * random_band_limited(grid, _child_seed(seed, t), kmax, DECAY) for t in (11, 12, 22))
-    )
+    c = (random_band_limited(grid, _child_seed(seed, t), kmax, DECAY).values for t in (11, 12, 22))
+    return SymTensor2(*(ScalarField(grid, amp * v) for v in c))
 
 
 def random_compatible_metric(
@@ -58,7 +57,7 @@ def random_compatible_metric(
     if volume is None:
         volume = flat_volume_form(grid)
     a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, 0.1)
-    return project_compatible(SymTensor2.from_stack(grid, _expm_sym2(a.stack())), volume)
+    return project_compatible(_expm_sym2(a.stack()), volume)
 
 
 def random_tangent(g: Metric, seed: int, kmax: int = 4) -> TangentVector:
@@ -67,10 +66,10 @@ def random_tangent(g: Metric, seed: int, kmax: int = 4) -> TangentVector:
     return tracefree_project(h_raw, g)
 
 
-def random_oneform(grid: Grid, seed: int, kmax: int = 4) -> OneForm:
-    return OneForm(
-        *(0.5 * random_band_limited(grid, _child_seed(seed, t), kmax, DECAY) for t in (31, 32))
-    )
+def random_oneform(grid: Grid, seed: int, kmax: int = 4) -> np.ndarray:
+    """Components a_i of a random 1-form, a read-only (2, n, n) array."""
+    c = [random_band_limited(grid, _child_seed(seed, t), kmax, DECAY).values for t in (31, 32)]
+    return _read_only(0.5 * np.array(c))
 
 
 def random_stream(grid: Grid, seed: int, kmax: int = 4) -> ScalarField:

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import torusgeom as tg
 from torusgeom import sampling
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +21,20 @@ def grid():
 @pytest.fixture(scope="session")
 def flat(grid):
     return tg.flat_metric(grid)
+
+
+@pytest.fixture(scope="session")
+def default_verify(tmp_path_factory):
+    """The default `verify`, run once per session as a subprocess with
+    TORUSGEOM_REPORT_DIR unset: (the finished process, its wall time in s,
+    the report path)."""
+    out = tmp_path_factory.mktemp("default") / "report.json"
+    env = {k: v for k, v in os.environ.items() if k != "TORUSGEOM_REPORT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "torusgeom", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    return proc, time.perf_counter() - t0, out
 
 
 def make_setup(grid, seed, harmonic=False):

@@ -9,7 +9,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 import torusgeom as tg
 from torusgeom import sampling
 from torusgeom.bundles import KAPPA_CONV, Loop, frame_transport, holonomy_derivative_check
-from torusgeom.fields import ScalarField, SymTensor2, TwoForm, VectorField
+from torusgeom.fields import ScalarField, SymTensor2, TwoForm
 from torusgeom.riemann import l2_norm_sym2, l2_norm_vector
 from torusgeom.suites import SuiteConfig, run_suites
 
@@ -94,12 +93,9 @@ def test_criterion_04_divergence_identity():
             else sampling.flat_volume_form(GRID)
         )
         g = sampling.random_compatible_metric(GRID, seed, volume=vol)
-        y = VectorField(
-            tg.random_band_limited(GRID, seed + 7, KMAX, 0.5),
-            tg.random_band_limited(GRID, seed + 8, KMAX, 0.5),
-        )
-        scale = max(y.x1.max_abs(), y.x2.max_abs(), 1e-30)
-        worst = max(worst, tg.divergence_identity_defect(g, y).c12.max_abs() / scale)
+        y = np.stack([tg.random_band_limited(GRID, seed + k, KMAX, 0.5).values for k in (7, 8)])
+        scale = max(sup(y), 1e-30)
+        worst = max(worst, sup(tg.divergence_identity_defect(g, y)) / scale)
     assert worst <= 1e-9
     report(4, "vector-field divergence identity on 20 inputs", worst, 1e-9)
 
@@ -302,7 +298,7 @@ def test_criterion_13_fundamental_vector_tracefree():
     report(13, "-L_X g is g-trace-free on 20 seeds", worst, 1e-10)
 
 
-def test_criterion_14_cli_contract(tmp_path):
+def test_criterion_14_cli_contract(tmp_path, default_verify):
     # determinism on a small config
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps({
@@ -351,16 +347,11 @@ def test_criterion_14_cli_contract(tmp_path):
     )
     assert p.returncode == 1
 
-    # full default suite within the five-minute budget
-    t0 = time.perf_counter()
-    p = subprocess.run(
-        [sys.executable, "-m", "torusgeom", "--out", str(tmp_path / "full.json")],
-        capture_output=True, text=True,
-    )
-    elapsed = time.perf_counter() - t0
+    # full default suite within the five-minute budget (run once per session)
+    p, elapsed, out = default_verify
     assert p.returncode == 0, p.stdout + p.stderr
     assert elapsed <= 300.0
-    body = json.loads((tmp_path / "full.json").read_text())
+    body = json.loads(out.read_text())
     assert body["summary"]["overall_pass"] is True
     report(14, f"CLI determinism, exit codes, full default suite in {elapsed:.0f}s "
                f"({body['summary']['total']} checks)", 0.0, 1.0)

@@ -4,8 +4,6 @@ import copy
 
 import pytest
 
-from torusgeom.cli import main
-
 import golden_check as gc
 
 
@@ -14,10 +12,9 @@ def golden():
     return gc.load(gc.GOLDEN)
 
 
-def test_default_report_matches_golden(golden, tmp_path, monkeypatch):
-    monkeypatch.delenv("TORUSGEOM_REPORT_DIR", raising=False)
-    out = tmp_path / "report.json"
-    assert main(["--out", str(out)]) == 0
+def test_default_report_matches_golden(golden, default_verify):
+    proc, _, out = default_verify
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert gc.compare(golden, gc.load(out)) == []
 
 

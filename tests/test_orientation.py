@@ -46,7 +46,7 @@ def _oriented_quantities(grid):
     h2 = sampling.random_tangent(g, 9)
     return {
         "omega": symplectic.omega(g, h, h2),
-        "alpha": bundles.connection_alpha(g, h).stack(),
+        "alpha": bundles.connection_alpha(g, h),
         "X": X.vector.stack(),
         "I": riemann.complex_structure(g),
         "transport": bundles.frame_transport(g, bundles.Loop.square((0.37, 0.52), 0.4)),

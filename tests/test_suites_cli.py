@@ -10,6 +10,7 @@ import pytest
 
 from torusgeom import bundles, suites
 from torusgeom.cli import _load_config, main
+from torusgeom.fields import ScalarField
 from torusgeom.suites import (
     CHECKS,
     SUITE_NAMES,
@@ -321,7 +322,7 @@ def test_convergence_unresolved_fine_grid_still_fails(monkeypatch, level):
 
     def unresolved_at_128(g, h):
         out = real(g, h)
-        return out + level * h.h.max_abs() if g.grid.n == 128 else out
+        return ScalarField(g.grid, out.values + level * h.h.max_abs()) if g.grid.n == 128 else out
 
     monkeypatch.setattr(bundles, "dalpha_defect", unresolved_at_128)
     config = SuiteConfig(grid_sizes=(64, 128), seeds=(0, 1, 2), suites=("convergence",))
@@ -468,3 +469,15 @@ def test_cli_record_off_sweep_seed_is_usage_error(tmp_path, spec):
     out = tmp_path / "r.json"
     assert main(["--record", spec, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, seed", [(32, 0), (48, 1)])
+def test_pushforward_compatibility_is_a_residual_on_coarse_grids(n, seed):
+    # the pushforward loses compatibility above PUSHFORWARD_COMPAT_TOL here:
+    # the check reports how far, and omega_invariance still hits the gate
+    config = SuiteConfig(grid_sizes=(n,), seeds=(0, 1, 2), suites=("flow-invariance",))
+    rec = run_suites(config, record_filter=("pushforward_compatibility", seed, n)).records[0]
+    assert math.isfinite(rec.residual) and rec.residual > rec.tolerance
+    assert not rec.passed and "ValueError" not in rec.note
+    omega = run_suites(config, record_filter=("omega_invariance", seed, n)).records[0]
+    assert math.isnan(omega.residual) and "pushforward lost compatibility" in omega.note
