@@ -5,15 +5,15 @@ A gauge class of circle bundles with connection is modeled by its curvature
 at the origin; this triple (plus the Chern integer) is a complete invariant
 on the torus.  The group law adds curvatures and holonomy angles.
 
-Convention constants: frame transport of the tangent bundle around a
-positively oriented contractible loop rotates by + int_Sigma (S/2) mu (the
-angle is -int omega for the Levi-Civita connection 1-form omega, whose
-exterior derivative is the curvature form -(S/2) mu; the shrinking-loop check
-pins the sign), while the canonical bundle carries curvature -S mu.  Hence
-the canonical-bundle holonomy angle is -KAPPA_CONV times the transported
-frame angle with KAPPA_CONV = CURV_NORM = 2; all convention-free identities
-(d alpha, the divergence identity, the momentum residual) are independent of
-this pair.
+Convention: frame transport of the tangent bundle around a positively
+oriented contractible loop rotates by + int_Sigma K mu with the Gauss
+curvature K = S/2 (the angle is -int omega for the Levi-Civita connection
+1-form omega, whose exterior derivative is the curvature form -K mu; the
+shrinking-loop check pins the sign).  The canonical bundle twists at
+-KAPPA_CONV = -2 times that rate: its curvature is -KAPPA_CONV K mu = -S mu
+and its holonomy angle is -KAPPA_CONV times the transported frame angle.  All
+convention-free identities (d alpha, the divergence identity, the momentum
+residual) are independent of KAPPA_CONV.
 
 Frame transport forms omega only at a loop's quadrature nodes, from the
 interpolated metric and its derivatives: no lattice connection form is built.
@@ -31,6 +31,7 @@ from .fields import (
     Interpolator,
     ScalarField,
     TwoForm,
+    _check_same_grid,
     _derivatives,
     _gauss_legendre,
     _read_only,
@@ -53,7 +54,6 @@ from .symplectic import TangentVector, omega, path_derivative
 from .diffeo import DivFreeField, fundamental_vector, pairing_kappa
 
 KAPPA_CONV = 2.0
-CURV_NORM = 2.0
 QUANTIZATION_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 PANEL_NODES = 24
@@ -160,9 +160,7 @@ def constant_curvature_class(
 
 def kobayashi_add(c1: CircleBundleClass, c2: CircleBundleClass) -> CircleBundleClass:
     """Group law: curvatures add, holonomies multiply (angles add), cherns add."""
-    if c1.grid != c2.grid:
-        raise ValueError(f"grid mismatch: {c1.grid} vs {c2.grid}")
-    curv = TwoForm.from_stack(c1.grid, c1.curvature.stack() + c2.curvature.stack())
+    curv = TwoForm.from_stack(_check_same_grid(c1, c2), c1.curvature.stack() + c2.curvature.stack())
     return CircleBundleClass(curv, c1.holA + c2.holA, c1.holB + c2.holB, c1.chern + c2.chern)
 
 
@@ -227,13 +225,13 @@ def frame_transport(g: Metric, loop: Loop) -> float:
 def canonical_class(g: Metric) -> CircleBundleClass:
     """The canonical circle bundle of (g, mu) as a gauge class.
 
-    Curvature is -KAPPA_CONV * (S / CURV_NORM) * mu = -S mu; the generator
+    Curvature is -KAPPA_CONV * K * mu = -S mu with K = S/2; the generator
     holonomies come from frame transport along the two straight generators
     through the origin.  On the torus the Chern integer is forced to 0 by
     Gauss-Bonnet; the class's quantization check doubles as a transport sanity check.
     """
     s = scalar_curvature(g)
-    curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (s.values / CURV_NORM) * g.volume.coefficient())
+    curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (0.5 * s.values) * g.volume.coefficient())
     interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
     theta_a, theta_b = (_transport(interp, g.volume.sign, Loop.generator(axis)) for axis in (1, 2))
     chern = int(round(integrate(curv.stack()) / TWO_PI))

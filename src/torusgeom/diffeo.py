@@ -42,7 +42,9 @@ PUSHFORWARD_COMPAT_TOL = 1e-5  # RK4-limited, not the spectral floor of exact me
 
 @dataclass(frozen=True, eq=False)
 class DivFreeField:
-    """mu-divergence-free vector field with stream and harmonic data."""
+    """mu-divergence-free vector field with stream and harmonic data; the
+    closed-flux gate sup |d(X . mu)| <= 1e-11 max(|psi|, |a|, |b|, 1) runs when
+    it is built."""
 
     stream: ScalarField
     harmonic: tuple[float, float]
@@ -57,9 +59,13 @@ class DivFreeField:
         if abs(self.stream.mean()) > 1e-12 * max(scale, 1.0):
             raise ValueError("stream function must have zero mean")
         flux = _derivatives(self.stream.values) + np.array(self.harmonic)[:, None, None]
-        vec = flux[::-1] / self.volume.matrix()[[0, 1], [1, 0]]  # X^i mu_ik = flux_k, k != i
-        object.__setattr__(self, "vector", VectorField.from_stack(self.grid, vec))
+        vec = VectorField.from_stack(  # X^i mu_ik = flux_k, k != i
+            self.grid, flux[::-1] / self.volume.matrix()[[0, 1], [1, 0]])
+        object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "_flux", flux)
+        res = self.closedness_residual()
+        if not res <= 1e-11 * max(scale, abs(self.harmonic[0]), abs(self.harmonic[1]), 1.0):
+            raise ValueError(f"divergence-free reconstruction failed: d(X.mu) = {res:.3e}")
 
     @property
     def grid(self) -> Grid:
@@ -70,22 +76,12 @@ class DivFreeField:
         d = _derivatives(np.stack([self._flux[1], -self._flux[0]]), summed=True)
         return float(np.max(np.abs(d)))
 
-    def scaled(self, c: float) -> "DivFreeField":
-        a, b = self.harmonic
-        return DivFreeField(
-            ScalarField(self.grid, c * self.stream.values), (c * a, c * b), self.volume
-        )
-
 
 def div_free_from_stream(
     psi: ScalarField, harmonic: tuple[float, float], mu: VolumeForm
 ) -> DivFreeField:
     """Build the unique X with X . mu = d(psi) + harmonic_1 dx + harmonic_2 dy."""
-    field = DivFreeField(psi, (float(harmonic[0]), float(harmonic[1])), mu)
-    res = field.closedness_residual()
-    if not res <= 1e-11 * max(psi.max_abs(), abs(harmonic[0]), abs(harmonic[1]), 1.0):
-        raise ValueError(f"divergence-free reconstruction failed: d(X.mu) = {res:.3e}")
-    return field
+    return DivFreeField(psi, (float(harmonic[0]), float(harmonic[1])), mu)
 
 
 def fundamental_vector(X: DivFreeField, g: Metric, trace_tol: float = 1e-9) -> TangentVector:

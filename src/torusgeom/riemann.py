@@ -163,10 +163,15 @@ def project_compatible(raw: np.ndarray, mu: VolumeForm) -> Metric:
     return Metric.from_stack(mu.grid, scale * raw, volume=mu)
 
 
+def flat_volume_form(grid: Grid) -> VolumeForm:
+    """The unit density f = 1."""
+    return VolumeForm(constant_field(grid, 1.0))
+
+
 def flat_metric(grid: Grid) -> Metric:
     """Euclidean metric with unit volume density."""
     one = constant_field(grid, 1.0)
-    return Metric(one, constant_field(grid, 0.0), one, VolumeForm(constant_field(grid, 1.0)))
+    return Metric(one, constant_field(grid, 0.0), one, flat_volume_form(grid))
 
 
 def _inverse(gs: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Grid, ScalarField, SymTensor2, _read_only, random_band_limited
-from .riemann import Metric, VolumeForm, project_compatible
+from .riemann import Metric, VolumeForm, flat_volume_form, project_compatible
 from .symplectic import TangentVector, tracefree_project
 
 DECAY = 0.5  # coefficient magnitudes scale like DECAY^|k| (random_band_limited)
@@ -39,10 +39,6 @@ def random_volume_form(grid: Grid, seed: int, kmax: int = 4) -> VolumeForm:
     """Positive density f = exp(0.08 u) with band-limited u."""
     u = random_band_limited(grid, _child_seed(seed, 90), kmax, DECAY, zero_mean=True)
     return VolumeForm(ScalarField(grid, np.exp(0.08 * u.values)))
-
-
-def flat_volume_form(grid: Grid) -> VolumeForm:
-    return VolumeForm(ScalarField(grid, np.ones((grid.n, grid.n))))
 
 
 def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) -> SymTensor2:

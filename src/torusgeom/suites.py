@@ -83,7 +83,7 @@ class Point:
     def vol(self):
         """Flat and random volume densities alternate across seeds."""
         if self.seed % 3 == 1:
-            return sampling.random_volume_form(self.grid, self.seed + 300)
+            return sampling.random_volume_form(self.grid, self.seed + 300, kmax=self.kmax)
         return self.flat_vol
 
     @cached_property
@@ -329,26 +329,28 @@ def _asymptotic_order(errs) -> float:
 
 
 class Lemma1(Point, suite="lemma1", tolerance=1e-8):
+    SEEDS = 20  # every check sweeps the first SEEDS configured seeds
+
     @cached_property
     def field(self):
-        """X, with its harmonic part in the last 30% of the first 20 seeds."""
-        return self.X_harmonic if self.in_harmonic_tail(self.config.seeds[:20]) else self.X
+        """X, with its harmonic part in the last 30% of the first SEEDS seeds."""
+        return self.X_harmonic if self.in_harmonic_tail(self.config.seeds[:self.SEEDS]) else self.X
 
-    @check(desk(20))
+    @check(desk(SEEDS))
     def lemma1_equality(self):
         lhs = symplectic.omega(self.g, diffeo.fundamental_vector(self.field, self.g), self.h)
         rhs = diffeo.lemma1_rhs(self.g, self.field, self.h)
         return abs(lhs - rhs) / self.scale(self.field)
 
-    @check(desk(20), tolerance=1e-11)
+    @check(desk(SEEDS), tolerance=1e-11)
     def mu_h_symmetry(self):
         return diffeo.skew_defect_mu_h(self.g, self.h) / max(self.h.h.max_abs(), 1e-30)
 
-    @check(desk(20), tolerance=1e-9)
+    @check(desk(SEEDS), tolerance=1e-9)
     def integration_by_parts(self):
         return diffeo.integration_by_parts_residual(self.g, self.field, self.h) / self.scale(self.field)
 
-    @check(desk(20), tolerance=1e-10)
+    @check(desk(SEEDS), tolerance=1e-10)
     def fundamental_trace(self):
         # |tr_g L_X g| without fundamental_vector's trace precondition: a residual at every N
         return riemann.trace_sym2(riemann.metric_lie_derivative(self.field.vector, self.g), self.g).max_abs()
@@ -511,7 +513,7 @@ class Kobayashi(Point, suite="kobayashi", tolerance=1e-12):
         c = self.classes
         return _class_gap(bundles.kobayashi_add(c[0], c[1]), bundles.kobayashi_add(c[1], c[0]))
 
-    @check(desk(5), tolerance=1e-8)
+    @check(desk(5), tolerance=bundles.QUANTIZATION_TOL)
     def quantization(self):
         s = bundles.kobayashi_add(self.classes[0], self.classes[1])
         return abs(fields.integrate(s.curvature.stack()) - 2 * math.pi * s.chern)
@@ -540,7 +542,7 @@ class FlowInvariance(Point, suite="flow-invariance", tolerance=1e-5):
     def flow_roundtrip(self):
         return self.phi.roundtrip_residual()
 
-    @check(desk(3), tolerance=1e-5)
+    @check(desk(3), tolerance=diffeo.PUSHFORWARD_COMPAT_TOL)
     def pushforward_compatibility(self):
         return self.pushed_metric.compatibility_residual()
 
@@ -700,15 +702,6 @@ class CheckResult:
     note: str = ""
 
 
-def _record(suite, name, seed, n, kmax, residual, tolerance, t0, note=""):
-    residual = float(residual)
-    ok = math.isfinite(residual) and residual <= tolerance
-    return CheckResult(
-        suite, name, seed, n, kmax, residual, float(tolerance),
-        bool(ok), time.perf_counter() - t0, note,
-    )
-
-
 def _run(c: Check, point: Point) -> CheckResult:
     """One record; an exception fails this record alone, with the exception as its note."""
     t0 = time.perf_counter()
@@ -718,7 +711,10 @@ def _run(c: Check, point: Point) -> CheckResult:
         residual, note = out if isinstance(out, tuple) else (out, "")
     except Exception as err:  # one broken check never hides the others
         residual, note = float("nan"), f"{type(err).__name__}: {err}"
-    return _record(c.suite, c.name, point.seed, point.n, point.kmax, residual, tolerance, t0, note)
+    residual = float(residual)
+    ok = math.isfinite(residual) and residual <= tolerance
+    return CheckResult(c.suite, c.name, point.seed, point.n, point.kmax, residual,
+                       float(tolerance), bool(ok), time.perf_counter() - t0, note)
 
 
 def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:

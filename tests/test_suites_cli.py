@@ -6,11 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from torusgeom import bundles, suites
+from torusgeom import bundles, sampling, suites
 from torusgeom.cli import _load_config, main
-from torusgeom.fields import ScalarField
+from torusgeom.fields import Grid, ScalarField
 from torusgeom.suites import (
     CHECKS,
     SUITE_NAMES,
@@ -108,6 +109,19 @@ def test_config_rejects_a_tolerance_key_no_check_reads():
     assert readers == set(SUITE_NAMES) - {"symplectic"}
     for suite in readers:
         assert SuiteConfig(tolerances={suite: 0.5}).tol(suite) == 0.5
+
+
+def test_readme_tolerance_table_is_the_declared_one():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| key | default | read by |\n  | --- | --- | --- |\n")[1].split("\n\n")[0]
+    rows = []  # (key, default, the names in "read by")
+    for line in table.splitlines():
+        key, default, readers = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        rows.append((key.strip("`"), float(default), {r.split("`")[1] for r in readers.split(",")}))
+    assert len(rows) == 8
+    assert {key: default for key, default, _ in rows} == suites.DEFAULT_TOLERANCES
+    for key, _, readers in rows:
+        assert readers == {c.name for c in CHECKS if c.suite == key and c.tolerance is None}, key
 
 
 # a field of the wrong JSON type is named, not coerced and not a TypeError
@@ -240,9 +254,10 @@ def test_declared_sweeps_equal_the_golden_records():
 
 
 def test_nan_residual_fails_record():
-    from torusgeom.suites import _record
+    from torusgeom.suites import Check, _run
 
-    rec = _record("momentum", "x", 0, 32, 4, float("nan"), 1e-8, time.perf_counter())
+    check = Check("momentum", "x", 1e-8, suites.seed_zero, lambda point: float("nan"))
+    rec = _run(check, suites.SUITES["momentum"](SuiteConfig(), 0, 32))
     assert not rec.passed
 
 
@@ -280,6 +295,16 @@ def test_every_record_reruns_alone_to_the_full_run():
         assert [(r.residual, r.note, r.tolerance) for r in alone] == [
             (rec.residual, rec.note, rec.tolerance)
         ], f"{rec.name}:{rec.seed}:{rec.n}"
+
+
+def test_point_density_is_drawn_at_the_config_kmax():
+    config = SuiteConfig.from_dict({"grid_sizes": [16], "seeds": [0, 1, 2], "kmax": 3})
+    vol = suites.SUITES["riemannian"](config, 1, 16).vol
+    want = sampling.random_volume_form(Grid(16), 1 + 300, kmax=3)
+    assert np.array_equal(vol.density.values, want.density.values)
+    records = run_suites(config).records
+    assert len(records) == 127
+    assert [f"{r.name}:{r.seed}" for r in records if "too large" in r.note] == []
 
 
 def test_single_record_unknown_name():

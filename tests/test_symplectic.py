@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusgeom as tg
 from torusgeom import sampling, symplectic
 from torusgeom.fields import SymTensor2
-from torusgeom.riemann import l2_norm_sym2
+from torusgeom.riemann import Metric, VolumeForm, l2_norm_sym2
 from torusgeom.symplectic import TangentVector
 
 from conftest import make_setup, sup
@@ -73,6 +75,33 @@ def test_omega_bilinear(grid):
     lhs = tg.omega(g, a * h1 + b * h1p, h2)
     rhs = a * tg.omega(g, h1, h2) + b * tg.omega(g, h1p, h2)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def rescaled(g, hs, c):
+    """(c g, [c h]) on the density c f; c g is compatible with it and each c h
+    is (c g)-trace-free, which the constructors check."""
+    vol = VolumeForm(tg.ScalarField(g.grid, c * g.volume.density.values))
+    gc = Metric.from_stack(g.grid, c * g.stack(), volume=vol)
+    return gc, [TangentVector(gc, SymTensor2.from_stack(g.grid, c * h.h.stack())) for h in hs]
+
+
+@given(seed=st.integers(min_value=0, max_value=30), c=st.floats(min_value=0.25, max_value=4.0))
+@settings(max_examples=10, deadline=None)
+def test_omega_scales_with_a_constant_rescaling_of_the_density(grid, seed, c):
+    g, _, h1 = make_setup(grid, seed)
+    h2 = sampling.random_tangent(g, seed + 9)
+    gc, (h1c, h2c) = rescaled(g, (h1, h2), c)
+    assert gc.compatibility_residual() <= 1e-10  # the riemannian suite's compatibility gate
+    want = c * tg.omega(g, h1, h2)
+    assert abs(tg.omega(gc, h1c, h2c) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_omega_doubles_exactly_with_the_density(grid, seed):
+    g, _, h1 = make_setup(grid, seed)
+    h2 = sampling.random_tangent(g, seed + 9)
+    g2, (h1d, h2d) = rescaled(g, (h1, h2), 2.0)
+    assert tg.omega(g2, h1d, h2d) == 2.0 * tg.omega(g, h1, h2)
 
 
 def test_omega_rejects_foreign_base(grid):
