@@ -233,7 +233,14 @@ def _rk4_flow(
 
 
 def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
-    """Integrate the lattice along X for time t with RK4 steps of size <= dt.
+    """The flow of X for time t with RK4 steps of size <= dt (_flow_map),
+    certified volume-preserving within FLOW_VOLUME_LIMIT."""
+    return _certify_volume(_flow_map(X, t, dt))
+
+
+def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
+    """Integrate the lattice along X for time t with RK4 steps of size <= dt,
+    before flow's volume gate.
 
     The forward flow carries the tangent map, so each of its stages evaluates
     the velocity and its first derivatives; the reverse-time flow that gives
@@ -257,13 +264,17 @@ def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     fwd, jac = _rk4_flow(velocity, pts, t, nsteps, tangent=True)
     inv, _ = _rk4_flow(velocity, pts, -t, nsteps)
     det = np.linalg.det(jac).reshape(grid.n, grid.n)
-    phi = DiscreteDiffeo(
+    return DiscreteDiffeo(
         grid,
         fwd.T.reshape(2, grid.n, grid.n),
         inv.T.reshape(2, grid.n, grid.n),
         X.volume,
         det_forward=det,
     )
+
+
+def _certify_volume(phi: DiscreteDiffeo) -> DiscreteDiffeo:
+    """phi, once its volume defect is within FLOW_VOLUME_LIMIT."""
     defect = phi.volume_defect()
     if defect > FLOW_VOLUME_LIMIT:
         raise ValueError(

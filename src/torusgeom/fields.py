@@ -200,19 +200,36 @@ def _ik(n: int, axis: int) -> np.ndarray:
 
 def _derivatives(arr: np.ndarray, axes=(1, 2), summed: bool = False) -> np.ndarray:
     """The one derivative kernel: one rfft2 of the stack arr (..., n, n) and one
-    irfft2 per output.  The outputs are d_a arr for a in axes, stacked first;
-    summed, they are the single sum_i d_{axes[i]} arr[i] over the leading
-    index of arr, added in place on the half spectrum: a divergence, or with
-    arr = (a2, -a1) the curl d_1 a2 - d_2 a1."""
+    backward transform per output.  The outputs are d_a arr for a in axes,
+    stacked first; summed, they are the single sum_i d_{axes[i]} arr[i] over
+    the leading index of arr, added in place on the half spectrum: a
+    divergence, or with arr = (a2, -a1) the curl d_1 a2 - d_2 a1.
+
+    The forward transform writes one preallocated half spectrum, and each
+    output is transformed back straight into its slot of one preallocated
+    result (_irfft2_into): bit for bit the rfft2/irfft2 round trip, without
+    its intermediates."""
     n = arr.shape[-1]
-    spec = np.fft.rfft2(arr)
-    if not summed:
-        return np.array([np.fft.irfft2(spec * _ik(n, a), s=(n, n)) for a in axes])
-    for s, a in zip(spec, axes):
-        s *= _ik(n, a)
-    for s in spec[1:]:
-        spec[0] += s
-    return np.fft.irfft2(spec[0], s=(n, n))
+    spec = np.fft.rfft2(arr, out=np.empty(arr.shape[:-1] + (n // 2 + 1,), dtype=complex))
+    if summed:
+        for s, a in zip(spec, axes):
+            s *= _ik(n, a)
+        for s in spec[1:]:
+            spec[0] += s
+        return _irfft2_into(spec[0], np.empty(arr.shape[1:]))
+    out = np.empty((len(axes),) + arr.shape)
+    for i, a in enumerate(axes):
+        _irfft2_into(spec * _ik(n, a), out[i])
+    return out
+
+
+def _irfft2_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """irfft2(spec, s=(n, n)) written into out, by the two passes irfftn runs,
+    in its order: ifft over axis -2 in place on spec (spec is overwritten),
+    then irfft over axis -1.  np.fft.irfft2 ignores its out argument: irfftn
+    is called with out=None."""
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.irfft(spec, out.shape[-1], axis=-1, out=out)
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:

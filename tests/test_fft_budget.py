@@ -1,10 +1,13 @@
 """Deterministic FFT budget of the geometry chain: field transforms are counted,
 not timed.
 
-A field transform is one (n, n) slice of an np.fft.rfft2 or np.fft.irfft2
-input; a call on a (2, 2, n, n) stack counts 4.  Each input stack is
-transformed forward once per call and each output backward once, and a
-divergence or curl is summed on the half spectrum before its one irfft2.
+A field transform is one (n, n) slice of an np.fft.rfft2 input, or one
+half-spectrum slice of a backward transform's last pass, np.fft.irfft (the
+derivative kernel runs irfft2 as its two passes, ifft then irfft) or an
+np.fft.irfft2 call; a call on a (2, 2, n, n) stack counts 4.  Each input
+stack is transformed forward once per call and each output backward once, and
+a divergence or curl is summed on the half spectrum before its one backward
+transform.
 """
 
 import numpy as np
@@ -28,7 +31,7 @@ CHAIN_NOW = 102
 class FFTCounter:
     def __init__(self, monkeypatch):
         self.calls = []  # (kind, fields, input array)
-        for kind in ("rfft2", "irfft2"):
+        for kind in ("rfft2", "irfft2", "irfft"):
             monkeypatch.setattr(np.fft, kind, self._wrap(kind, getattr(np.fft, kind)))
 
     def _wrap(self, kind, fn):
@@ -42,14 +45,18 @@ class FFTCounter:
         self.calls.clear()
 
     def fields(self, kind):
-        return sum(f for k, f, _ in self.calls if k == kind)
+        """Field transforms of kind "forward" or "backward"."""
+        return sum(f for k, f, _ in self.calls if KINDS[k] == kind)
 
     def ncalls(self, kind):
-        return sum(1 for k, _, _ in self.calls if k == kind)
+        return sum(1 for k, _, _ in self.calls if KINDS[k] == kind)
 
     @property
     def total(self):
-        return self.fields("rfft2") + self.fields("irfft2")
+        return self.fields("forward") + self.fields("backward")
+
+
+KINDS = {"rfft2": "forward", "irfft2": "backward", "irfft": "backward"}
 
 
 @pytest.fixture
@@ -78,8 +85,8 @@ def test_covariant_divergence_is_one_forward_and_one_backward(counter, data):
     g.christoffel()
     counter.reset()
     riemann.covariant_divergence(hup, g)
-    assert counter.ncalls("rfft2") == counter.ncalls("irfft2") == 1
-    assert (counter.fields("rfft2"), counter.fields("irfft2")) == (4, 2)
+    assert counter.ncalls("forward") == counter.ncalls("backward") == 1
+    assert (counter.fields("forward"), counter.fields("backward")) == (4, 2)
 
 
 def test_metric_is_transformed_once(counter, data):
@@ -157,4 +164,4 @@ def test_frame_transport_transforms_only_the_metric(counter):
     counter.reset()
     bundles.frame_transport(g, bundles.Loop.square((0.37, 0.52), 0.4))
     assert "gamma" not in g._cache and "grad" not in g._cache
-    assert (counter.fields("rfft2"), counter.fields("irfft2")) == (3, 0)
+    assert (counter.fields("forward"), counter.fields("backward")) == (3, 0)

@@ -87,6 +87,30 @@ def test_summed_spectrum_kernel_matches_complex_oracle(n, lead):
     assert sup(_derivatives(np.stack([a0, a1]), summed=True) - want) <= tol
 
 
+def rfft2_round_trip(arr, axes=(1, 2), summed=False):
+    """The kernel as one rfft2 and one np.fft.irfft2 per output, each
+    allocating its own arrays; summed, the spectra are added in axes order."""
+    n = arr.shape[-1]
+    spec = np.fft.rfft2(arr)
+    if not summed:
+        return np.array([np.fft.irfft2(spec * _ik(n, a), s=(n, n)) for a in axes])
+    total = spec[0] * _ik(n, axes[0])
+    for s, a in zip(spec[1:], axes[1:]):
+        total = total + s * _ik(n, a)
+    return np.fft.irfft2(total, s=(n, n))
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+@pytest.mark.parametrize("rank, summed", [(r, False) for r in range(4)] + [(r, True) for r in (1, 2, 3)])
+def test_derivative_kernel_is_the_rfft2_round_trip_bit_for_bit(n, rank, summed):
+    # every output slot is written: an irfft2(..., out=) left it unset
+    arr = np.random.default_rng(100 * n + rank).standard_normal((2,) * rank + (n, n))
+    for a in (arr, arr.swapaxes(0, 1) if rank >= 2 else arr[..., ::-1, :]):  # and a strided view
+        for axes in [(1, 2), (2, 1)] + ([] if summed else [(1,), (2,)]):
+            got = _derivatives(a, axes, summed=summed)
+            assert np.array_equal(got, rfft2_round_trip(a, axes, summed))
+
+
 def test_ik_is_built_once_and_read_only():
     for axis in (1, 2):
         ik = _ik(16, axis)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusgeom import bundles, sampling, suites
+from torusgeom import bundles, diffeo, sampling, suites
 from torusgeom.cli import _load_config, main
 from torusgeom.fields import Grid, ScalarField
 from torusgeom.suites import (
@@ -305,6 +305,23 @@ def test_point_density_is_drawn_at_the_config_kmax():
     records = run_suites(config).records
     assert len(records) == 127
     assert [f"{r.name}:{r.seed}" for r in records if "too large" in r.note] == []
+
+
+def test_flow_residuals_are_reported_past_the_volume_gate():
+    # seed 1's flow loses 1.9e-4 of its volume at N = 16, over diffeo.flow's
+    # limit: the flow's own residuals report it; omega_invariance keeps the gate
+    config = SuiteConfig.from_dict(
+        {"grid_sizes": [16], "seeds": [1], "kmax": 3, "suites": ["flow-invariance"]}
+    )
+    recs = {r.name: r for r in run_suites(config).records}
+    volume = recs["flow_volume"]
+    assert diffeo.FLOW_VOLUME_LIMIT < volume.residual < 3e-4
+    assert not volume.passed and volume.note == ""
+    for name in ("flow_roundtrip", "pushforward_compatibility"):
+        assert math.isfinite(recs[name].residual) and recs[name].note == ""
+    assert "flow volume defect 1.923e-04 exceeds" in recs["omega_invariance"].note
+    with pytest.raises(ValueError, match="flow volume defect"):
+        diffeo.flow(suites.SUITES["flow-invariance"](config, 1, 16).flow_field, 0.1, 5e-3)
 
 
 def test_single_record_unknown_name():
