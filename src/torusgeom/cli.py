@@ -3,10 +3,13 @@
     verify --config cfg.json --suites momentum,kobayashi --out report.json
     verify --record momentum_residual:7:64 --out rerun.json
 
-`--record` runs one record of the config's full run, with the same
-residual, note and tolerance.  Exit codes: 0 all checks passed, 1 at least
-one check failed, 2 usage or configuration error, including a `--record`
-seed or N outside that check's sweep.  The environment variable
+The config names grid_sizes, seeds, kmax and suites; every tolerance is
+fixed where its check is declared, in `suites`.  `--record` runs one record
+of the config's full run, with the same residual, note and tolerance.  Exit
+codes: 0 all checks passed, 1 at least one check failed, 2 usage or
+configuration error, including a config that cannot run or cannot fail (a
+negative seed, no suites, a suite named twice) and a `--record` seed or N
+outside that check's sweep.  The environment variable
 TORUSGEOM_REPORT_DIR, when set, overrides the directory of the output files.
 Report bodies are deterministic for a fixed config up to the generated_at
 timestamp and the wall_time fields.
@@ -65,8 +68,6 @@ def _load_config(path: str | None, suites_csv: str | None) -> SuiteConfig:
     config = SuiteConfig.from_dict(data)
     if suites_csv is not None:
         wanted = tuple(s.strip() for s in suites_csv.split(",") if s.strip())
-        if not wanted:
-            raise ValueError("--suites was given but named no suites")
         config = dataclasses.replace(config, suites=wanted)
     return config
 

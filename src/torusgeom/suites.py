@@ -2,14 +2,14 @@
 
 Every check is declared once, as a row (suite, name, tolerance, sweep, run)
 of the table CHECKS, by a `check` method of its suite's class: the method
-name is the record name, and the class keyword is the suite tolerance that
-checks declared without one read and the config may override.  `sweep` lists
-a check's (seed, N) points before anything runs; `run` returns the residual,
-or (residual, note).  The runner, `--record`, SUITE_NAMES and the tolerance
-lookup all read this table.  A point is the suite's class at one (seed, N),
-its seeded inputs cached properties dropped with it; points share no state.
-An exception fails only the record that raised it; a record reruns alone to
-the same result.
+name is the record name, and the tolerance is the method's own or, when it
+declares none, the suite tolerance of its class keyword.  Tolerances are
+fixed here; no config changes them.  `sweep` lists a check's (seed, N)
+points before anything runs; `run` returns the residual, or (residual,
+note).  The runner, `--record` and SUITE_NAMES all read this table.  A
+point is the suite's class at one (seed, N), its seeded inputs cached
+properties dropped with it; points share no state.  An exception fails only
+the record that raised it; a record reruns alone to the same result.
 
 Seed policy: sweep suites consume config.seeds slices of documented length
 (momentum uses all seeds and switches on a harmonic part for the last 30%);
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import bundles, diffeo, fields, riemann, sampling, symplectic
-from .fields import Grid, constant_field, field_from_function
+from .fields import Grid, SymTensor2, constant_field, field_from_function
 from .riemann import l2_norm_sym2, l2_norm_vector
 
 
@@ -41,7 +41,7 @@ class Check:
     """One declared check; its records are `run` at every point of `sweep`."""
     suite: str
     name: str
-    tolerance: float | None  # None: the suite tolerance, which the config may override
+    tolerance: float
     sweep: Callable[[SuiteConfig], list[tuple[int, int]]]
     run: Callable[[Point], float | tuple[float, str]]
 
@@ -68,7 +68,7 @@ class Point:
         for name, run in vars(cls).items():
             if hasattr(run, "declared"):
                 sweep, tol = run.declared
-                CHECKS.append(Check(suite, name, tol, sweep, run))
+                CHECKS.append(Check(suite, name, tolerance if tol is None else tol, sweep, run))
 
     def __init__(self, config: SuiteConfig, seed: int, n: int):
         self.config, self.seed, self.n = config, seed, n
@@ -268,7 +268,8 @@ class Symplectic(Point, suite="symplectic"):
         g, h1 = self.g, self.h
         h2 = sampling.random_tangent(g, self.seed + 2, kmax=self.kmax)
         a, b = 0.7, -1.3
-        lin = symplectic.omega(g, a * h1 + b * h2, h2)
+        combo = SymTensor2.from_stack(self.grid, a * h1.h.stack() + b * h2.h.stack())
+        lin = symplectic.omega(g, symplectic.TangentVector(g, combo), h2)
         res = abs(lin - a * symplectic.omega(g, h1, h2) - b * symplectic.omega(g, h2, h2))
         return res / max(abs(lin), 1.0)
 
@@ -598,18 +599,14 @@ class Convergence(Point, suite="convergence", tolerance=1e-2):
     def dalpha_ratio(self):
         lo = min(self.config.grid_sizes)
         r_lo, r_hi = self.dalpha_at(lo), self.dalpha_at(self.n)
-        tol_ratio = self.config.tol(self.suite)
         note = f"N={lo} -> N={self.n}"
-        if _at_floor(r_hi, r_lo, tol_ratio):
+        if _at_floor(r_hi, r_lo, self.tolerance):
             note += f"; residuals {r_lo:.2e}, {r_hi:.2e} at floor {ROUNDOFF_FLOOR:.0e}"
             return 0.0, note  # resolved at both sizes; the ratio would be noise
         return r_hi / max(r_lo, 1e-300), note
 
 
 SUITE_NAMES = tuple(SUITES)
-
-# the suite tolerances some check reads, which are the valid `tolerances` keys
-DEFAULT_TOLERANCES = {c.suite: SUITES[c.suite].tolerance for c in CHECKS if c.tolerance is None}
 
 
 @dataclass(frozen=True)
@@ -618,7 +615,6 @@ class SuiteConfig:
     seeds: tuple[int, ...] = tuple(range(50))
     kmax: int = 4
     suites: tuple[str, ...] = SUITE_NAMES
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.grid_sizes or any(n < 8 or n % 2 for n in self.grid_sizes):
@@ -629,30 +625,23 @@ class SuiteConfig:
             raise ValueError("seeds must be a nonempty list of integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if self.kmax < 0 or self.kmax >= min(self.grid_sizes) // 4:
             raise ValueError(
                 f"kmax={self.kmax} must satisfy 0 <= kmax < min(grid_sizes)/4"
             )
+        if not self.suites:
+            raise ValueError("suites must name at least one suite")
+        if len(set(self.suites)) != len(self.suites):
+            raise ValueError(f"suites must be distinct, got {list(self.suites)}")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite '{s}'; valid: {', '.join(SUITE_NAMES)}")
-        for key, tol in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ValueError(
-                    f"tolerances['{key}'] names no suite tolerance that a check reads; "
-                    f"valid: {', '.join(DEFAULT_TOLERANCES)}"
-                )
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-                raise ValueError(f"tolerances['{key}'] must be a number, got {tol!r}")
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"tolerances['{key}'] must be positive and finite, got {tol!r}")
 
     @property
     def n_desk(self) -> int:
         return max(self.grid_sizes)
-
-    def tol(self, suite: str) -> float:
-        return float(self.tolerances.get(suite, DEFAULT_TOLERANCES[suite]))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -687,7 +676,6 @@ _FIELDS = {
     "seeds": (_list_of(_integer), "a list of integers", tuple, list),
     "kmax": (_integer, "an integer", int, int),
     "suites": (_list_of(lambda s: isinstance(s, str)), "a list of strings", tuple, list),
-    "tolerances": (lambda v: isinstance(v, dict), "an object of suite -> number", dict, dict),
 }
 
 
@@ -708,16 +696,15 @@ class CheckResult:
 def _run(c: Check, point: Point) -> CheckResult:
     """One record; an exception fails this record alone, with the exception as its note."""
     t0 = time.perf_counter()
-    tolerance = point.config.tol(c.suite) if c.tolerance is None else c.tolerance
     try:
         out = c.run(point)
         residual, note = out if isinstance(out, tuple) else (out, "")
     except Exception as err:  # one broken check never hides the others
         residual, note = float("nan"), f"{type(err).__name__}: {err}"
     residual = float(residual)
-    ok = math.isfinite(residual) and residual <= tolerance
+    ok = math.isfinite(residual) and residual <= c.tolerance
     return CheckResult(c.suite, c.name, point.seed, point.n, point.kmax, residual,
-                       float(tolerance), bool(ok), time.perf_counter() - t0, note)
+                       c.tolerance, bool(ok), time.perf_counter() - t0, note)
 
 
 def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:
@@ -753,7 +740,6 @@ class SuiteReport:
     config: SuiteConfig
     records: list
     wall_time: float
-    warnings: list
 
     @property
     def overall_pass(self) -> bool:
@@ -762,7 +748,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         records = sorted(self.records, key=lambda r: (r.suite, r.name, r.seed, r.n))
         return {
-            "schema": 1,
+            "schema": 2,
             "version": _version,
             "config": self.config.echo(),
             "records": [asdict(r) for r in records],
@@ -773,7 +759,6 @@ class SuiteReport:
                 "overall_pass": self.overall_pass,
                 "wall_time": self.wall_time,
             },
-            "warnings": list(self.warnings),
         }
 
 
@@ -784,7 +769,7 @@ def run_suites(config: SuiteConfig, record_filter: tuple[str, int, int] | None =
         records = [rec for suite in config.suites for rec in _run_suite(config, suite)]
     else:
         records = [_run_record(config, *record_filter)]
-    return SuiteReport(config, records, time.perf_counter() - t0, [])
+    return SuiteReport(config, records, time.perf_counter() - t0)
 
 
 def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
@@ -799,7 +784,7 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
     recs = [r for r in report.records if r.suite == "convergence" and r.name != "dalpha_ratio"]
     if not recs:
         return rows[0] + "\n", "no convergence records in report; table is empty"
-    tol_ratio = report.config.tol("convergence")
+    tol_ratio = Convergence.tolerance
     by_check: dict = {}
     for r in recs:
         by_check.setdefault(r.name, {}).setdefault(r.n, []).append(r.residual)

@@ -47,21 +47,6 @@ class TangentVector:
     def grid(self):
         return self.h.grid
 
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        _require_same_base(self.base, other)
-        return TangentVector(
-            self.base,
-            SymTensor2.from_stack(self.grid, self.h.stack() + other.h.stack()),
-            max(self.tol, other.tol),
-        )
-
-    def __mul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(
-            self.base, SymTensor2.from_stack(self.grid, float(scalar) * self.h.stack()), self.tol
-        )
-
-    __rmul__ = __mul__
-
 
 def _require_same_base(g: Metric, tv: TangentVector):
     if tv.base is not g and not np.array_equal(tv.base.stack(), g.stack()):

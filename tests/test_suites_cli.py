@@ -14,7 +14,6 @@ from torusgeom.cli import _load_config, main
 from torusgeom.fields import Grid, ScalarField
 from torusgeom.suites import (
     CHECKS,
-    SUITE_NAMES,
     CheckResult,
     SuiteConfig,
     SuiteReport,
@@ -62,22 +61,6 @@ def test_config_rejects_bad_grid():
         SuiteConfig(grid_sizes=(7,))
 
 
-def test_config_rejects_nonpositive_tolerance():
-    with pytest.raises(ValueError, match="positive"):
-        SuiteConfig(tolerances={"momentum": 0.0})
-
-
-def test_config_rejects_boolean_tolerance():
-    with pytest.raises(ValueError, match="must be a number"):
-        SuiteConfig.from_dict({"tolerances": {"momentum": True}})
-
-
-def test_config_rejects_infinite_tolerance():
-    data = json.loads('{"tolerances": {"kobayashi": Infinity}}')
-    with pytest.raises(ValueError, match="finite"):
-        SuiteConfig.from_dict(data)
-
-
 def test_config_rejects_duplicate_seeds():
     with pytest.raises(ValueError, match="distinct"):
         SuiteConfig.from_dict({"seeds": [3, 4, 3]})
@@ -98,30 +81,35 @@ def test_config_rejects_duplicate_grid_sizes():
         SuiteConfig.from_dict({"grid_sizes": [32, 64, 32]})
 
 
-def test_config_rejects_a_tolerance_key_no_check_reads():
-    # every symplectic check has its own tolerance, so this override would
-    # pass every record while looking like a gate
-    with pytest.raises(ValueError, match="symplectic"):
-        SuiteConfig(tolerances={"symplectic": 1e-300})
-    with pytest.raises(ValueError, match="no suite tolerance"):
-        SuiteConfig(tolerances={"lemma3": 1e-8})
-    readers = {c.suite for c in CHECKS if c.tolerance is None}
-    assert readers == set(SUITE_NAMES) - {"symplectic"}
-    for suite in readers:
-        assert SuiteConfig(tolerances={suite: 0.5}).tol(suite) == 0.5
+def test_every_check_declares_a_fixed_tolerance_that_its_records_carry():
+    golden = json.loads((Path(__file__).with_name("golden") / "verify_default.json").read_text())
+    declared = {c.name: c.tolerance for c in CHECKS}
+    for c in CHECKS:
+        assert type(c.tolerance) is float and math.isfinite(c.tolerance) and c.tolerance > 0, c.name
+    assert {r["name"] for r in golden["records"]} == set(declared)
+    for rec in golden["records"]:
+        assert rec["tolerance"] == declared[rec["name"]], rec["name"]
 
 
-def test_readme_tolerance_table_is_the_declared_one():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = text.split("| key | default | read by |\n  | --- | --- | --- |\n")[1].split("\n\n")[0]
-    rows = []  # (key, default, the names in "read by")
-    for line in table.splitlines():
-        key, default, readers = (cell.strip() for cell in line.strip().strip("|").split("|"))
-        rows.append((key.strip("`"), float(default), {r.split("`")[1] for r in readers.split(",")}))
-    assert len(rows) == 8
-    assert {key: default for key, default, _ in rows} == suites.DEFAULT_TOLERANCES
-    for key, _, readers in rows:
-        assert readers == {c.name for c in CHECKS if c.suite == key and c.tolerance is None}, key
+# a config that cannot run (a negative seed), runs nothing (no suites) or
+# runs a suite twice under the same record keys, or that names a tolerance
+CANNOT_FAIL = [
+    ({"seeds": [-1, 0]}, "seeds must be non-negative, got [-1, 0]"),
+    ({"suites": []}, "suites must name at least one suite"),
+    ({"suites": ["momentum", "momentum"]}, "suites must be distinct, got ['momentum', 'momentum']"),
+    ({"tolerances": {"momentum": 1e-7}}, "unknown config field 'tolerances'"),
+]
+CANNOT_FAIL_IDS = ["negative-seed", "empty-suites", "duplicate-suites", "tolerances"]
+
+
+@pytest.mark.parametrize("data, message", CANNOT_FAIL, ids=CANNOT_FAIL_IDS)
+def test_cli_config_that_cannot_fail_is_a_config_error(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, {"grid_sizes": [32], "seeds": [0], **data})
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
 
 
 # a field of the wrong JSON type is named, not coerced and not a TypeError
@@ -145,10 +133,9 @@ MALFORMED_IDS = ["seeds-int", "grid-null", "suites-int", "kmax-list", "kmax-bool
     [
         ({"seeds": []}, "seeds must be a nonempty list"),
         ([{"seeds": [1]}], "config root must be a JSON object"),
-        ({"tolerances": [1]}, "tolerances must be an object of suite -> number"),
         *MALFORMED_FIELDS,
     ],
-    ids=["no-seeds", "list-root", "tolerance-list", *MALFORMED_IDS],
+    ids=["no-seeds", "list-root", *MALFORMED_IDS],
 )
 def test_config_from_dict_rejects_malformed_json(data, message):
     with pytest.raises(ValueError, match=message):
@@ -165,9 +152,9 @@ def test_cli_malformed_config_field_is_a_config_error(tmp_path, capsys, data, me
 
 
 def test_config_echo_reads_back_to_the_same_config():
-    config = SuiteConfig.from_dict({**SMALL, "tolerances": {"momentum": 1e-7}})
+    config = SuiteConfig.from_dict(SMALL)
     echo = config.echo()
-    assert list(echo) == ["grid_sizes", "seeds", "kmax", "suites", "tolerances"]
+    assert list(echo) == ["grid_sizes", "seeds", "kmax", "suites"]
     assert echo == json.loads(json.dumps(echo))
     assert SuiteConfig.from_dict(echo) == config
 
@@ -192,7 +179,8 @@ def test_report_records_sorted_and_named():
     assert keys == sorted(keys)
     for rec in body["records"]:
         assert rec["name"] in names_of(rec["suite"])
-    assert body["schema"] == 1
+    assert body["schema"] == 2
+    assert list(body) == ["schema", "version", "config", "records", "summary"]
 
 
 def test_runner_turns_exceptions_into_failed_records(monkeypatch):
@@ -374,7 +362,7 @@ def test_convergence_unresolved_fine_grid_still_fails(monkeypatch, level):
 
 
 def test_convergence_table_empty_warning():
-    report = SuiteReport(SuiteConfig(), [], 0.0, [])
+    report = SuiteReport(SuiteConfig(), [], 0.0)
     csv_text, warning = convergence_table(report)
     assert warning is not None
     assert csv_text.strip() == "check,N,residual,ratio,flag"
@@ -388,7 +376,7 @@ def test_convergence_table_flags_a_slow_decay_and_a_plateau():
         for seed in (0, 1)
         for n, res in ((32, 1e-3), (48, 5e-4), (64, 6e-4))
     ]
-    csv_text, warning = convergence_table(SuiteReport(config, records, 0.0, []))
+    csv_text, warning = convergence_table(SuiteReport(config, records, 0.0))
     assert warning is None
     assert csv_text.splitlines()[1:] == [
         "lemma1_residual,32,1.000000e-03,,first",
@@ -410,7 +398,8 @@ def test_cli_pass_run(tmp_path):
 
 
 def test_cli_exit_1_on_check_failure(tmp_path):
-    cfg = write_config(tmp_path, {**SMALL, "tolerances": {"calculus": 1e-300}})
+    # N = 16 truncates the kmax 3 metrics: 5 of the 10 riemannian records fail
+    cfg = write_config(tmp_path, {"grid_sizes": [16], "seeds": [0], "kmax": 3, "suites": ["riemannian"]})
     out = tmp_path / "report.json"
     assert main(["--config", cfg, "--out", str(out)]) == 1
     body = json.loads(out.read_text())
@@ -428,7 +417,7 @@ def test_cli_exit_2_on_unknown_suite(tmp_path):
 
 
 def test_suites_flag_keeps_every_other_config_field(tmp_path):
-    data = {"grid_sizes": [32, 64], "seeds": [4, 5], "kmax": 3, "tolerances": {"momentum": 1e-7}}
+    data = {"grid_sizes": [32, 64], "seeds": [4, 5], "kmax": 3}
     config = _load_config(write_config(tmp_path, data), " kobayashi, momentum ")
     base = SuiteConfig.from_dict(data)
     assert config.suites == ("kobayashi", "momentum")
@@ -444,7 +433,7 @@ def test_cli_exit_2_on_missing_config(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--suites", ","], "--suites was given but named no suites"),
+        (["--suites", ","], "suites must name at least one suite"),
         (["--record", "a:1"], "--record wants NAME:SEED:N, got 'a:1'"),
     ],
     ids=["empty-suites", "short-record"],

@@ -72,7 +72,8 @@ def test_omega_bilinear(grid):
     h1p = sampling.random_tangent(g, 5)
     h2 = sampling.random_tangent(g, 6)
     a, b = 0.7, -1.3
-    lhs = tg.omega(g, a * h1 + b * h1p, h2)
+    combo = TangentVector(g, SymTensor2.from_stack(grid, a * h1.h.stack() + b * h1p.h.stack()))
+    lhs = tg.omega(g, combo, h2)
     rhs = a * tg.omega(g, h1, h2) + b * tg.omega(g, h1p, h2)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -272,7 +273,7 @@ def test_witness_scales_quadratically(grid):
     g = sampling.random_compatible_metric(grid, 30)
     h = sampling.random_tangent(g, 31)
     _, v1 = tg.nondegeneracy_witness(g, h)
-    _, v2 = tg.nondegeneracy_witness(g, 2.0 * h)
+    _, v2 = tg.nondegeneracy_witness(g, TangentVector(g, SymTensor2.from_stack(grid, 2.0 * h.h.stack())))
     assert abs(v2 - 4.0 * v1) <= 1e-10 * abs(v1)
 
 
