@@ -44,14 +44,14 @@ from .riemann import (
     _det,
     _inverse,
     _levi_civita,
-    covariant_divergence,
-    divergence_vector,
     cov_deriv_oneform,
-    raise_sym2,
+    divergence_sym2,
+    divergence_vector,
+    double_divergence,
     scalar_curvature,
 )
 from .symplectic import TangentVector, omega, path_derivative
-from .diffeo import DivFreeField, fundamental_vector, pairing_kappa
+from .diffeo import FUNDAMENTAL_TRACE_TOL, DivFreeField, fundamental_vector, pairing_kappa
 
 KAPPA_CONV = 2.0
 QUANTIZATION_TOL = 1e-8
@@ -173,17 +173,16 @@ def kobayashi_neg(c: CircleBundleClass) -> CircleBundleClass:
 def connection_alpha(g: Metric, h: TangentVector) -> np.ndarray:
     """Representative alpha_i = mu_ik nabla_j h^{kj} of the log-derivative
     class, as a read-only (2, n, n) array."""
-    y = covariant_divergence(raise_sym2(h.h, g), g)
-    return _read_only(g.volume.contract(y))
+    return _read_only(g.volume.contract(divergence_sym2(h.h, g)))
 
 
 def dalpha_defect(g: Metric, h: TangentVector) -> ScalarField:
     """Pointwise defect (d alpha)_12 + mu_12 nabla_k nabla_l h^{kl}; ~0 always."""
-    y = covariant_divergence(raise_sym2(h.h, g), g)  # nabla_j h^{kj}, built once
+    y = divergence_sym2(h.h, g)  # nabla_j h^{kj}
     m = g.volume.coefficient()
     # alpha = (mu_12 y^2, -mu_12 y^1), so d alpha = d_1 alpha_2 - d_2 alpha_1 = -div(mu_12 y)
     dalpha = -_derivatives(m * y, summed=True)
-    return ScalarField(g.grid, dalpha + m * divergence_vector(y, g).values)
+    return ScalarField(g.grid, dalpha + m * double_divergence(h.h, g))
 
 
 def divergence_identity_defect(g: Metric, Y: np.ndarray) -> np.ndarray:
@@ -238,9 +237,12 @@ def canonical_class(g: Metric) -> CircleBundleClass:
     return CircleBundleClass(curv, -KAPPA_CONV * theta_a, -KAPPA_CONV * theta_b, chern)
 
 
-def momentum_residual(g: Metric, X: DivFreeField, h: TangentVector) -> float:
-    """Omega_g(X.g, h) + kappa(X, alpha_h); zero is the momentum-map identity."""
-    lhs = omega(g, fundamental_vector(X, g), h)
+def momentum_residual(
+    g: Metric, X: DivFreeField, h: TangentVector, trace_tol: float = FUNDAMENTAL_TRACE_TOL
+) -> float:
+    """Omega_g(X.g, h) + kappa(X, alpha_h); zero is the momentum-map identity.
+    X.g is fundamental_vector's, behind its trace gate at trace_tol."""
+    lhs = omega(g, fundamental_vector(X, g, trace_tol), h)
     return lhs + pairing_kappa(X, connection_alpha(g, h))
 
 

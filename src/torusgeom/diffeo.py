@@ -29,7 +29,7 @@ from .riemann import (
     VolumeForm,
     _check_finite,
     cov_deriv_vector,
-    covariant_divergence,
+    divergence_sym2,
     metric_lie_derivative,
     raise_sym2,
 )
@@ -38,6 +38,7 @@ from .symplectic import TangentVector, tracefree_project
 FLOW_MAX_DT = 1e-2
 FLOW_VOLUME_LIMIT = 1e-4
 PUSHFORWARD_COMPAT_TOL = 1e-5  # RK4-limited, not the spectral floor of exact metrics
+FUNDAMENTAL_TRACE_TOL = 1e-9  # fundamental_vector's default trace gate, for N >= 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,9 @@ def div_free_from_stream(
     return DivFreeField(psi, (float(harmonic[0]), float(harmonic[1])), mu)
 
 
-def fundamental_vector(X: DivFreeField, g: Metric, trace_tol: float = 1e-9) -> TangentVector:
+def fundamental_vector(
+    X: DivFreeField, g: Metric, trace_tol: float = FUNDAMENTAL_TRACE_TOL
+) -> TangentVector:
     """Infinitesimal action X.g = -L_X g; g-trace-free for compatible g.
 
     The trace is asserted, not projected, by the TangentVector gate at
@@ -114,7 +117,7 @@ def pairing_kappa(X: DivFreeField, alpha: np.ndarray) -> float:
 
 def lemma1_rhs(g: Metric, X: DivFreeField, h: TangentVector) -> float:
     """- int X^i mu_ik (nabla_j h^{kj}) mu  (h raised twice by g)."""
-    y = covariant_divergence(raise_sym2(h.h, g), g)
+    y = divergence_sym2(h.h, g)
     xs = X.vector.stack()
     f = g.volume.density.values
     return float(-np.mean(f * g.volume.coefficient() * (xs[0] * y[1] - xs[1] * y[0])))

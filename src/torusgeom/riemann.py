@@ -97,7 +97,9 @@ class Metric(Tensor):
     through compatibility_residual().  Derived data is computed on first use
     and cached read-only: the arrays inverse_stack (g^ij), gradient_stack
     (d_m g_pq), christoffel (Gamma^k_ij) and ricci_stack (R_ij), and the
-    field scalar_curvature.
+    field scalar_curvature; and, per operand object, raise_sym2 (h^ij),
+    divergence_sym2 (nabla_j h^kj) and double_divergence of a SymTensor2 h,
+    and metric_lie_derivative (L_X g) of a VectorField X.
     """
 
     g11 = Component((0, 0))
@@ -118,8 +120,12 @@ class Metric(Tensor):
     def det_values(self) -> np.ndarray:
         return _det(self._arr)
 
-    def _cached(self, key: str, build):
-        """build(self), computed on first use; an array result is made read-only."""
+    def _cached(self, key, build):
+        """build(self), computed on first use; an array result is made read-only.
+
+        key is a name, or (name, operand) for data of a read-only tensor
+        operand, keyed by its identity: the key holds the operand, so its id
+        is not reused while the metric lives."""
         if key not in self._cache:
             value = build(self)
             if isinstance(value, np.ndarray):
@@ -284,11 +290,27 @@ def trace_sym2(h: SymTensor2, g: Metric) -> ScalarField:
 
 def raise_sym2(h: SymTensor2, g: Metric) -> np.ndarray:
     """h^{ij} = g^{ik} g^{jl} h_kl as a read-only (2, 2, n, n) array, exactly
-    symmetric: h^{21} is h^{12}."""
+    symmetric: h^{21} is h^{12}; built once per (g, h)."""
+    return g._cached(("raise", h), lambda g: _raise_sym2(h, g))
+
+
+def _raise_sym2(h: SymTensor2, g: Metric) -> np.ndarray:
     ginv = g.inverse_stack()
     up = np.einsum("ikab,jlab,klab->ijab", ginv, ginv, h.stack())
     up[1, 0] = up[0, 1]
-    return _read_only(up)
+    return up
+
+
+def divergence_sym2(h: SymTensor2, g: Metric) -> np.ndarray:
+    """nabla_j h^{kj} of h raised by g, as a read-only (2, n, n) array; built
+    once per (g, h)."""
+    return g._cached(("div", h), lambda g: covariant_divergence(raise_sym2(h, g), g))
+
+
+def double_divergence(h: SymTensor2, g: Metric) -> np.ndarray:
+    """nabla_k nabla_j h^{kj} of h raised by g, as a read-only (n, n) array;
+    built once per (g, h)."""
+    return g._cached(("divdiv", h), lambda g: divergence_vector(divergence_sym2(h, g), g).values)
 
 
 def lower_vector(X: VectorField, g: Metric) -> np.ndarray:
@@ -329,7 +351,12 @@ def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:
 
 
 def metric_lie_derivative(X: VectorField, g: Metric) -> SymTensor2:
-    """(L_X g)_ij by the coordinate formula (no connection used)."""
+    """(L_X g)_ij by the coordinate formula (no connection used); built once
+    per (g, X)."""
+    return g._cached(("lie", X), lambda g: _metric_lie_derivative(X, g))
+
+
+def _metric_lie_derivative(X: VectorField, g: Metric) -> SymTensor2:
     gs = g.stack()
     Xs = X.stack()
     dg = g.gradient_stack()
@@ -355,7 +382,5 @@ def linearized_scalar_curvature(g: Metric, h: SymTensor2) -> ScalarField:
     """
     tr = trace_sym2(h, g)
     lap_tr = laplace_beltrami(tr, g)
-    hup = raise_sym2(h, g)
-    divdiv = divergence_vector(covariant_divergence(hup, g), g)
-    ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), hup)
-    return ScalarField(g.grid, -lap_tr.values + divdiv.values - ric_h)
+    ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), raise_sym2(h, g))
+    return ScalarField(g.grid, -lap_tr.values + double_divergence(h, g) - ric_h)

@@ -424,6 +424,9 @@ def test_momentum_identity_coarse_grid_with_explicit_trace_tol():
     fv = tg.fundamental_vector(X, g, trace_tol=1e-4)
     res = tg.omega(g, fv, h) + tg.pairing_kappa(X, tg.connection_alpha(g, h))
     assert abs(res) <= 1e-8 * pair_scale(g, X, h)
+    assert tg.momentum_residual(g, X, h, trace_tol=1e-4) == res
+    with pytest.raises(ValueError, match="g-trace above its limit"):
+        tg.momentum_residual(g, X, h)
 
 
 @pytest.mark.parametrize("seed", range(10))

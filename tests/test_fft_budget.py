@@ -22,10 +22,11 @@ N = 32
 # Transforms of the benchmark-shaped chain below (one geometry-n128 unit: the
 # identity chain plus rebuilding g, h, k and X).  The count does not depend on
 # N or the seed.  Before the summed-spectrum kernel and the cached metric
-# gradient it was 154 (66 forward, 88 backward); now 102 (54 forward, 48
-# backward).
+# gradient it was 154 (66 forward, 88 backward); with them 102 (54 forward, 48
+# backward); with nabla_j h^kj, its divergence and L_X g built once per metric
+# and operand, 81 (42 forward, 39 backward).
 CHAIN_BEFORE = 154
-CHAIN_NOW = 102
+CHAIN_NOW = 81
 
 
 class FFTCounter:
@@ -103,17 +104,19 @@ def test_metric_is_transformed_once(counter, data):
 
 
 def test_dalpha_builds_the_double_divergence_once(counter, data, monkeypatch):
+    # dalpha_defect reads nabla_j h^kj and its divergence from the shared
+    # builds, riemann.divergence_sym2 and riemann.double_divergence
     g = _fresh(data[0])
     g.christoffel()
     built = {"covariant_divergence": 0, "divergence_vector": 0}
     for name in built:
-        real = getattr(bundles, name)
+        real = getattr(riemann, name)
 
         def recording(*args, _name=name, _real=real):
             built[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(bundles, name, recording)
+        monkeypatch.setattr(riemann, name, recording)
     counter.reset()
     bundles.dalpha_defect(g, data[1])
     assert built == {"covariant_divergence": 1, "divergence_vector": 1}
@@ -121,10 +124,21 @@ def test_dalpha_builds_the_double_divergence_once(counter, data, monkeypatch):
     assert counter.total == 12
 
 
+def test_a_second_consumer_at_the_same_tangent_transforms_nothing(counter, data):
+    g, h, _, psi, harm = data
+    g = _fresh(g)
+    X = diffeo.div_free_from_stream(psi, harm, g.volume)
+    bundles.dalpha_defect(g, h)
+    counter.reset()
+    bundles.connection_alpha(g, h)
+    diffeo.lemma1_rhs(g, X, h)
+    riemann.double_divergence(h.h, g)
+    assert counter.total == 0
+
+
 def _geometry_chain(g0, h0, k0, psi, harm):
-    """The benchmark's geometry unit, with the momentum identity composed at a
-    trace tolerance that suits N = 32 (the transforms are those of
-    momentum_residual)."""
+    """The benchmark's geometry unit, with momentum_residual at a trace
+    tolerance that suits N = 32."""
     vol = g0.volume
     g = _fresh(g0)
     h, k = symplectic.TangentVector(g, h0.h), symplectic.TangentVector(g, k0.h)
@@ -140,10 +154,9 @@ def _geometry_chain(g0, h0, k0, psi, harm):
     riemann.ricci_relation_residual(g)
     riemann.linearized_scalar_curvature(g, h.h)
     symplectic.omega(g, h, k) + symplectic.omega(g, k, h)
-    xg = diffeo.fundamental_vector(X, g, trace_tol=1e-4)
-    alpha = bundles.connection_alpha(g, h)
+    momentum = bundles.momentum_residual(g, X, h, trace_tol=1e-4)
     bundles.dalpha_defect(g, h)
-    return symplectic.omega(g, xg, h) + diffeo.pairing_kappa(X, alpha)
+    return momentum
 
 
 def test_geometry_chain_budget(counter, data):

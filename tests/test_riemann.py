@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import sampling
+from torusgeom import riemann, sampling
 from torusgeom.fields import ScalarField, SymTensor2, VectorField
 from torusgeom.riemann import VolumeForm
 
@@ -284,6 +287,77 @@ def test_christoffel_is_the_cached_read_only_array(grid):
     assert g.christoffel() is gam and tg.christoffel(g) is gam
     with pytest.raises(ValueError, match="read-only"):
         gam[0, 0, 0] += 1.0
+
+
+def _operand_setup(n, seed=11):
+    """A metric on a random density, a tangent h and a divergence-free X at N = n."""
+    grid = tg.Grid(n)
+    g = sampling.random_compatible_metric(grid, seed, volume=sampling.random_volume_form(grid, seed + 1))
+    h = sampling.random_tangent(g, seed + 2)
+    X = tg.div_free_from_stream(sampling.random_stream(grid, seed + 3), (0.2, -0.1), g.volume)
+    return g, h.h, X.vector
+
+
+OPERAND_BUILDS = {
+    "raise_sym2": lambda g, h, x: tg.raise_sym2(h, g),
+    "divergence_sym2": lambda g, h, x: tg.divergence_sym2(h, g),
+    "double_divergence": lambda g, h, x: tg.double_divergence(h, g),
+    "metric_lie_derivative": lambda g, h, x: tg.metric_lie_derivative(x, g).stack(),
+}
+
+
+@pytest.mark.parametrize("name", OPERAND_BUILDS)
+def test_operand_cache_hit_is_the_same_read_only_object(name):
+    g, h, x = _operand_setup(32)
+    build = OPERAND_BUILDS[name]
+    first = build(g, h, x)
+    assert build(g, h, x) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] += 1.0
+
+
+@pytest.mark.parametrize("name", OPERAND_BUILDS)
+def test_operand_cache_misses_on_an_equal_but_different_operand(name):
+    g, h, x = _operand_setup(32)
+    build = OPERAND_BUILDS[name]
+    first = build(g, h, x)
+    h2, x2 = SymTensor2.from_stack(g.grid, h.stack()), VectorField.from_stack(g.grid, x.stack())
+    again = build(g, h2, x2)
+    assert again is not first and np.array_equal(again, first)
+
+
+def test_operand_cache_key_holds_its_operand():
+    g, h, x = _operand_setup(32)
+    tg.divergence_sym2(h, g)
+    ref = weakref.ref(h)
+    del h
+    gc.collect()
+    assert ref() is not None  # so its id cannot be reused while g lives
+
+
+def test_metric_from_stack_starts_with_an_empty_cache():
+    g, h, x = _operand_setup(32)
+    tg.linearized_scalar_curvature(g, h)
+    tg.metric_lie_derivative(x, g)
+    assert g._cache
+    fresh = tg.Metric.from_stack(g.grid, g.stack(), volume=g.volume)
+    assert fresh._cache == {}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_cached_builds_equal_the_uncached_composition(n):
+    g, h, x = _operand_setup(n, seed=n)
+    lin = tg.linearized_scalar_curvature(g, h).values
+    up = riemann._raise_sym2(h, g)
+    div = tg.covariant_divergence(up, g)
+    divdiv = tg.divergence_vector(div, g).values
+    assert np.array_equal(tg.raise_sym2(h, g), up)
+    assert np.array_equal(tg.divergence_sym2(h, g), div)
+    assert np.array_equal(tg.double_divergence(h, g), divdiv)
+    assert np.array_equal(tg.metric_lie_derivative(x, g).stack(), riemann._metric_lie_derivative(x, g).stack())
+    ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), up)
+    lap_tr = tg.laplace_beltrami(tg.trace_sym2(h, g), g).values
+    assert np.array_equal(lin, -lap_tr + divdiv - ric_h)
 
 
 def test_complex_structure_is_a_read_only_array(grid):

@@ -200,29 +200,49 @@ def test_runner_turns_exceptions_into_failed_records(monkeypatch):
 
 
 def test_a_raising_check_fails_once_per_point_and_hides_nothing():
-    # at N = 32 the fundamental vector's trace exceeds its default bound, so
-    # momentum_residual raises at every seed; the kappa checks still run
-    config = SuiteConfig(grid_sizes=(32,), seeds=tuple(range(10)), suites=("momentum",))
+    # at N = 32 pushforward_metric's compatibility gate fires, so
+    # omega_invariance raises at every seed; the flow's own checks still run
+    config = SuiteConfig(grid_sizes=(32,), seeds=(0, 1, 2), suites=("flow-invariance",))
     records = run_suites(config).records
-    failed = [r for r in records if not r.passed]
-    assert sorted(r.seed for r in failed) == list(range(10))
-    assert all(r.name == "momentum_residual" for r in failed)
-    assert all(r.note.startswith("ValueError: -L_X g has g-trace") for r in failed)
-    passed = [r for r in records if r.passed]
-    assert len(passed) == 7 and all(r.name.startswith("kappa_") for r in passed)
+    raised = [r for r in records if r.note]
+    assert sorted((r.name, r.seed) for r in raised) == [("omega_invariance", s) for s in range(3)]
+    assert all(r.note.startswith("ValueError: pushforward lost compatibility") for r in raised)
+    assert all(not r.passed and math.isnan(r.residual) for r in raised)
+    reported = [r for r in records if not r.note]
+    assert len(reported) == 10 and all(math.isfinite(r.residual) for r in reported)
+    assert [r.seed for r in reported if r.name == "translation_exact" and r.passed] == [0]
 
 
 def test_fundamental_trace_reports_its_residual_at_every_n():
     # at N = 32 the trace of -L_X g is 3e-7 to 5e-6, above fundamental_vector's
-    # 1e-9 precondition: fundamental_trace reports that trace, while
-    # lemma1_equality, which needs a tangent vector, keeps the precondition
+    # 1e-9 precondition: fundamental_trace reports that trace, and
+    # lemma1_equality reads -L_X g past the precondition
     config = SuiteConfig(grid_sizes=(32,), seeds=tuple(range(10)), suites=("lemma1",))
     records = run_suites(config).records
     trace = [r for r in records if r.name == "fundamental_trace"]
     assert sorted(r.seed for r in trace) == list(range(10))
     assert all(r.note == "" and 1e-7 <= r.residual <= 1e-5 and not r.passed for r in trace)
     equality = [r for r in records if r.name == "lemma1_equality"]
-    assert all(r.note.startswith("ValueError: -L_X g has g-trace") for r in equality)
+    assert len(equality) == 10 and all(r.note == "" and r.passed for r in equality)
+
+
+def test_identities_report_past_the_trace_gate_at_n32(tmp_path):
+    # fundamental_vector's 1e-9 trace gate fires at every seed at N = 32, yet
+    # the Lemma 1 and momentum identities read past it hold to 3e-12
+    cfg = write_config(tmp_path, {"grid_sizes": [32], "seeds": list(range(10))})
+    out = tmp_path / "report.json"
+    assert main(["--config", cfg, "--out", str(out), "--suites", "lemma1,momentum"]) == 1
+    records = json.loads(out.read_text())["records"]
+    for name in ("lemma1_equality", "momentum_residual"):
+        recs = [r for r in records if r["name"] == name]
+        assert sorted(r["seed"] for r in recs) == list(range(10)), name
+        assert all(r["passed"] and r["residual"] <= 1e-11 for r in recs), name
+        assert all(r["note"] in ("", "harmonic") for r in recs), name
+    failed = {r["name"] for r in records if not r["passed"]}
+    assert failed == {"fundamental_trace"}
+    with pytest.raises(ValueError, match="-L_X g has g-trace"):
+        point = suites.SUITES["momentum"](SuiteConfig(grid_sizes=(32,)), 0, 32)
+        bundles.momentum_residual(point.g, point.X, point.h)
 
 
 def test_declared_sweeps_equal_the_golden_records():
@@ -273,11 +293,13 @@ def test_single_record_rerun():
 
 
 def test_every_record_reruns_alone_to_the_full_run():
+    # a point's metric caches what its checks share (h^ij, nabla_j h^kj, its
+    # divergence, L_X g); a record run alone builds them itself
     config = SuiteConfig.from_dict(
-        {"grid_sizes": [64], "seeds": list(range(10)), "suites": ["lemma1", "momentum"]}
+        {"grid_sizes": [64], "seeds": list(range(10)), "suites": ["lemma1", "lemma2", "momentum"]}
     )
     full = run_suites(config).records
-    assert len(full) == 57
+    assert len(full) == 84
     for rec in full:
         alone = run_suites(config, record_filter=(rec.name, rec.seed, rec.n)).records
         assert [(r.residual, r.note, r.tolerance) for r in alone] == [
