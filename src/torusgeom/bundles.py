@@ -68,8 +68,9 @@ def _canon_angle(theta: float) -> float:
 class Loop:
     """Closed polyline on the torus in lifted coordinates.
 
-    points has shape (m+1, 2) with points[-1] = points[0] + winding for an
-    integer winding pair; the loop is contractible iff the winding is (0, 0).
+    points has shape (m+1, 2), finite, with points[-1] = points[0] + winding
+    for an integer winding pair; the loop is contractible iff the winding is
+    (0, 0).
     All loops used by the verification suites (squares, generators) are exact
     polylines, so no resampling error enters the line integrals.
     """
@@ -80,6 +81,10 @@ class Loop:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("loop needs an (m+1, 2) array of vertices")
+        finite = np.isfinite(pts)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"loop vertex {i} is not finite: {pts[i]}")
         gap = pts[-1] - pts[0]
         if np.max(np.abs(gap - np.round(gap))) > 1e-9:
             raise ValueError("loop is not closed modulo Z^2")

@@ -151,7 +151,8 @@ class DiscreteDiffeo:
     the lattice from the variational (tangent-map) flow, which is RK4-limited
     rather than limited by re-differentiating the sampled map; volume_defect
     needs it.  The arrays are read-only copies, so the cached volume_defect
-    cannot go stale.
+    and D(phi^-1), which every pushforward along the map reads, cannot go
+    stale.
     """
 
     grid: Grid
@@ -165,6 +166,7 @@ class DiscreteDiffeo:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_float_array(getattr(self, name)))
         object.__setattr__(self, "_volume_defect", None)
+        object.__setattr__(self, "_inverse_jacobian", None)
 
     def _mesh(self) -> np.ndarray:
         X, Y = self.grid.meshes()
@@ -175,6 +177,14 @@ class DiscreteDiffeo:
         derivatives of its displacement."""
         grad = _derivatives(samples - self._mesh())  # [i, k]
         return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
+
+    def inverse_jacobian(self) -> np.ndarray:
+        """D(phi^-1) at the lattice, [k, i] = d_i (phi^-1)^k, read-only.
+        Computed once."""
+        if self._inverse_jacobian is None:
+            jac = _read_only(self._jacobian(self.inverse))
+            object.__setattr__(self, "_inverse_jacobian", jac)
+        return self._inverse_jacobian
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """The forward map at points (m, 2), by interpolating its displacement."""
@@ -205,23 +215,33 @@ class DiscreteDiffeo:
 
 
 def _rk4_flow(
-    interp: Interpolator, points: np.ndarray, t: float, nsteps: int, tangent: bool = False
+    interp: Interpolator,
+    points: np.ndarray,
+    at_points: np.ndarray,
+    t: float,
+    nsteps: int,
+    tangent: bool = False,
 ):
     """RK4 trajectories of the interpolated velocity; optionally carries the
-    tangent map J along each trajectory (variational equation J' = DX J)."""
+    tangent map J along each trajectory (variational equation J' = DX J).
+    at_points is interp(points, derivatives=tangent), the velocity where the
+    trajectories start, which the first stage takes."""
     h = t / nsteps
     p = points.copy()
     m = p.shape[0]
     jac = np.tile(np.eye(2), (m, 1, 1)) if tangent else None
 
-    def vel(q):
+    def split(vals):
         if not tangent:
-            return interp(q).T, None
-        vals = interp(q, derivatives=True)  # [f / d_x f / d_y f, k, point]
-        return vals[0].T, np.ascontiguousarray(vals[1:].transpose(2, 1, 0))  # [point, k, i]
+            return vals.T, None
+        # [f / d_x f / d_y f, k, point] -> velocity [point, k], DX [point, k, i]
+        return vals[0].T, np.ascontiguousarray(vals[1:].transpose(2, 1, 0))
 
-    for _ in range(nsteps):
-        k1, d1 = vel(p)
+    def vel(q):
+        return split(interp(q, derivatives=tangent))
+
+    for step in range(nsteps):
+        k1, d1 = vel(p) if step else split(at_points)
         k2, d2 = vel(p + 0.5 * h * k1)
         k3, d3 = vel(p + 0.5 * h * k2)
         k4, d4 = vel(p + h * k3)
@@ -248,7 +268,10 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     The forward flow carries the tangent map, so each of its stages evaluates
     the velocity and its first derivatives; the reverse-time flow that gives
     the inverse evaluates the velocity alone, from the same interpolator,
-    whose chop is guarded for both.  A stage at all n^2 lattice points costs
+    whose chop is guarded for both.  Both flows start at the lattice, so the
+    velocity and its derivatives are evaluated there once: the forward flow's
+    first stage takes all of it and the reverse flow's first stage the values,
+    bit for bit a value-only call.  A stage at all n^2 lattice points costs
     O(M^2 n^2) with M = max(8, 2K + 2) < n for the velocity's band K, or the
     full n when the band does not fit (see fields.Interpolator).
     """
@@ -264,8 +287,9 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
     nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1
-    fwd, jac = _rk4_flow(velocity, pts, t, nsteps, tangent=True)
-    inv, _ = _rk4_flow(velocity, pts, -t, nsteps)
+    at_lattice = velocity(pts, derivatives=True)
+    fwd, jac = _rk4_flow(velocity, pts, at_lattice, t, nsteps, tangent=True)
+    inv, _ = _rk4_flow(velocity, pts, at_lattice[0], -t, nsteps)
     det = np.linalg.det(jac).reshape(grid.n, grid.n)
     return DiscreteDiffeo(
         grid,
@@ -290,7 +314,7 @@ def _pushforward_sym2_stack(phi: DiscreteDiffeo, comps: list[ScalarField]) -> np
     """Common kernel: (phi_* T)_ij = J^k_i J^l_j T_kl(phi^-1), J = D(phi^-1),
     symmetrized to cancel roundoff."""
     grid = phi.grid
-    jac = phi._jacobian(phi.inverse)
+    jac = phi.inverse_jacobian()
     pulled = Interpolator(comps)(phi.inverse.reshape(2, -1).T).reshape(3, grid.n, grid.n)
     tpull = pulled[[[0, 1], [1, 2]]]  # (c11, c12, c22) -> T[k, l]
     out = np.einsum("kiab,ljab,klab->ijab", jac, jac, tpull)

@@ -392,6 +392,9 @@ class Interpolator:
     (nfields*M x M) @ (M x block) product plus an O(nfields M block)
     contraction with the y basis; derivatives differentiate the basis (to 0
     for the Nyquist cosine, as _ik does), and d_x f takes a second product.
+    Each call allocates one workspace (power rows, bases, product) that every
+    block refills; the values of a derivative call are bit for bit those of
+    a value call.  Non-finite points are rejected.
     """
 
     def __init__(self, fields, derivatives: bool = False):
@@ -414,49 +417,72 @@ class Interpolator:
             c = kept
         # K, M and the worst dropped l1 mass over max|f| (see _dropped_ratio)
         self.band, self.eval_n, self.dropped = k, m, dropped
-        self._k = 2.0 * np.pi * np.arange(1.0, m // 2)[:, None]  # 2 pi k, k = 1..M/2-1
+        two_pi_k = 2.0 * np.pi * np.arange(1.0, m // 2)[:, None]  # k = 1..M/2-1
+        self._k = np.stack([-two_pi_k, two_pi_k])  # d/dt multipliers of the cos, sin rows
         self._packed = _fold(c, 1.0 / (n * n))
 
-    def _basis(self, coords: np.ndarray, derivative: bool) -> tuple[np.ndarray, ...]:
-        # (M, m) rows 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
-        # from z^k = z^(k-1) z, one contiguous row per step, and their d/dt
+    def _basis(self, coords: np.ndarray, powers: np.ndarray, basis: np.ndarray,
+               d: np.ndarray | None = None, k: np.ndarray | None = None) -> None:
+        """Fill the workspace rows basis (M, w) with 1, cos 2 pi k t (k = 1..M/2)
+        and sin 2 pi k t (k = 1..M/2-1) at coords from z^k = z^(k-1) z, one
+        contiguous row of powers (M/2+1, w) per step, and d (M, w), if given,
+        with their d/dt; k is the (2, M/2-1, w) array of -2 pi k and 2 pi k."""
         h = self.eval_n // 2
         z = np.exp(2j * np.pi * coords)
-        e = np.empty((h + 1, coords.shape[0]), dtype=complex)
-        e[0] = 1.0
-        for k in range(1, h + 1):
-            np.multiply(e[k - 1], z, out=e[k])
-        basis = np.concatenate([e.real, e.imag[1:h]])
-        if not derivative:
-            return (basis,)
-        d = np.empty_like(basis)
-        d[0] = d[h] = 0.0  # the constant and the Nyquist cosine
-        np.multiply(-self._k, basis[h + 1 :], out=d[1:h])  # cos_k -> -2 pi k sin_k
-        np.multiply(self._k, basis[1:h], out=d[h + 1 :])  # sin_k -> 2 pi k cos_k
-        return basis, d
+        powers[0] = 1.0
+        for j in range(1, h + 1):
+            np.multiply(powers[j - 1], z, out=powers[j])
+        np.copyto(basis[: h + 1], powers.real)
+        np.copyto(basis[h + 1 :], powers.imag[1:h])
+        if d is not None:
+            d[0] = d[h] = 0.0  # the constant and the Nyquist cosine
+            np.multiply(k[0], basis[h + 1 :], out=d[1:h])  # cos_k -> -2 pi k sin_k
+            np.multiply(k[1], basis[1:h], out=d[h + 1 :])  # sin_k -> 2 pi k cos_k
 
     def __call__(self, points: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """Evaluate all fields at points of shape (m, 2); returns (nfields, m),
-        or with derivatives (3, nfields, m) stacking f, d_x f and d_y f."""
+        or with derivatives (3, nfields, m) stacking f, d_x f and d_y f.  A
+        non-finite point is rejected, naming its index."""
         if derivatives and not self._derivatives:
             raise ValueError("derivatives need an Interpolator built with derivatives=True")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((3 if derivatives else 1, self._nfields, pts.shape[0]))
-        shape = (self._nfields, self.eval_n, -1)
-        for lo in range(0, pts.shape[0], POINT_BLOCK):
-            block = slice(lo, lo + POINT_BLOCK)
-            x, y = pts[block].T
+        finite = np.isfinite(pts)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"interpolation point {i} is not finite: {pts[i]}")
+        m, nf, mm = pts.shape[0], self._nfields, self.eval_n
+        out = np.empty((3 if derivatives else 1, nf, m))
+        # one workspace per call: a block of w points uses the leading rows * w
+        # entries of each flat buffer, a C-contiguous (rows, w) array like a
+        # fresh one, so each block's arithmetic is the per-block allocation's
+        b = min(m, POINT_BLOCK)
+        powers = np.empty((mm // 2 + 1) * b, dtype=complex)
+        bases = np.empty((4 if derivatives else 2, mm * b))
+        prod = np.empty(nf * mm * b)
+        k = np.repeat(self._k, b, axis=2) if derivatives else None  # full width: faster
+        for lo in range(0, m, POINT_BLOCK):
+            x, y = pts[lo : lo + POINT_BLOCK].T
+            w = x.shape[0]
+            e = powers[: (mm // 2 + 1) * w].reshape(-1, w)
+            bx, by, *d = (buf[: mm * w].reshape(mm, w) for buf in bases)
+            tmp = prod[: nf * mm * w].reshape(nf * mm, w)
+            fml = tmp.reshape(nf, mm, w)
+            block = slice(lo, lo + w)
             if not derivatives:
-                tmp = (self._packed @ self._basis(x, False)[0]).reshape(shape)
-                np.einsum("flm,lm->fm", tmp, self._basis(y, False)[0], out=out[0, :, block])
+                self._basis(x, e, bx)
+                np.matmul(self._packed, bx, out=tmp)
+                self._basis(y, e, by)
+                np.einsum("flm,lm->fm", fml, by, out=out[0, :, block])
                 continue
-            bx = self._basis(x, True)
-            tmp = self._packed @ bx[0]
-            by = self._basis(y, True)  # after the product, as above: building it first was slower
-            np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[0, :, block])
-            np.einsum("flm,lm->fm", tmp.reshape(shape), by[1], out=out[2, :, block])
-            np.matmul(self._packed, bx[1], out=tmp)
-            np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[1, :, block])
+            dx, dy = d
+            kw = k[:, :, :w]
+            self._basis(x, e, bx, dx, kw)
+            np.matmul(self._packed, bx, out=tmp)
+            self._basis(y, e, by, dy, kw)  # after the product: building it first was slower
+            np.einsum("flm,lm->fm", fml, by, out=out[0, :, block])
+            np.einsum("flm,lm->fm", fml, dy, out=out[2, :, block])
+            np.matmul(self._packed, dx, out=tmp)
+            np.einsum("flm,lm->fm", fml, by, out=out[1, :, block])
         return out if derivatives else out[0]
 
 

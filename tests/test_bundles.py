@@ -59,6 +59,23 @@ def test_malformed_loops_are_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Loop.square((np.nan, 0.5), 0.3), r"loop vertex 0 is not finite: \[ *nan"),
+        (lambda: Loop.square((0.5, 0.5), np.inf), r"loop vertex 0 is not finite: \[ *-inf"),
+        (lambda: Loop(np.array([[0.1, 0.2], [0.4, 0.2], [0.4, -np.inf], [0.1, 0.2]])),
+         r"loop vertex 2 is not finite: \[ *0\.4 +-inf\]"),
+    ],
+    ids=["nan-center", "infinite-side", "third-vertex"],
+)
+def test_non_finite_loop_vertices_are_rejected_by_index(build, message):
+    # without the check a NaN square constructs, since its closure gap is NaN,
+    # and frame_transport fails later on converting NaN to an integer
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_a_repeated_vertex_adds_nothing_to_the_transport(grid):
     g = sampling.random_compatible_metric(grid, 4, volume=sampling.random_volume_form(grid, 3))
     square = Loop.square((0.37, 0.52), 0.4)

@@ -109,12 +109,65 @@ def test_flat_density_flow_runs_one_velocity_interpolator_at_the_velocity_band(
     assert tg.Interpolator([X.vector.x1, X.vector.x2]).eval_n == 10  # kmax = 4
     tg.flow(X, 2e-2, 5e-3)
     # one 2-field interpolator serves both flows, 4 steps of 4 stages each:
-    # the forward flow with derivatives, the reverse flow without
+    # the forward flow with derivatives, the reverse flow without; the first
+    # stage of both is the one lattice evaluation, with derivatives
     velocity = [i for i in built if i._nfields == 2]
     assert len(velocity) == 1
-    assert velocity[0].calls == {True: 16, False: 16}
+    assert velocity[0].calls == {True: 16, False: 15}
     assert velocity[0].eval_n == 10
     assert velocity[0].dropped <= fields.CHOP_MASS_LIMIT
+
+
+@pytest.mark.parametrize("density_seed", [None, 48])
+def test_shared_lattice_stage_changes_no_bits(grid, density_seed):
+    # both flows from scratch, each evaluating its own first stage: the
+    # forward flow with derivatives, the reverse flow by a value-only call
+    vol = (sampling.flat_volume_form(grid) if density_seed is None
+           else sampling.random_volume_form(grid, density_seed))
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 49), (0.2, -0.1), vol)
+    t, dt, nsteps = 2e-2, 5e-3, 4
+    phi = tg.flow(X, t, dt)
+    velocity = tg.Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
+    Xm, Ym = grid.meshes()
+    pts = np.column_stack([Xm.ravel(), Ym.ravel()])
+    fwd, jac = diffeo._rk4_flow(
+        velocity, pts, velocity(pts, derivatives=True), t, nsteps, tangent=True)
+    inv, _ = diffeo._rk4_flow(velocity, pts, velocity(pts), -t, nsteps)
+    shape = (2, grid.n, grid.n)
+    assert np.array_equal(phi.forward, fwd.T.reshape(shape))
+    assert np.array_equal(phi.inverse, inv.T.reshape(shape))
+    assert np.array_equal(phi.det_forward, np.linalg.det(jac).reshape(grid.n, grid.n))
+
+
+def test_pushforwards_along_one_map_build_its_inverse_jacobian_once(grid, monkeypatch):
+    g, X, h = make_setup(grid, 1)
+    k = sampling.random_tangent(g, 50)
+    phi = tg.flow(X, 2e-2, 5e-3)
+    built = []
+    real = DiscreteDiffeo._jacobian
+    monkeypatch.setattr(DiscreteDiffeo, "_jacobian",
+                        lambda self, samples: built.append(samples) or real(self, samples))
+    gp = tg.pushforward_metric(phi, g)
+    tg.pushforward_tangent(phi, h, gp)
+    tg.pushforward_tangent(phi, k, gp)
+    assert len(built) == 1 and built[0] is phi.inverse
+
+
+def test_inverse_jacobian_is_cached_read_only(grid):
+    _, X, _ = make_setup(grid, 2)
+    phi = tg.flow(X, 2e-2, 5e-3)
+    jac = phi.inverse_jacobian()
+    assert phi.inverse_jacobian() is jac
+    assert np.array_equal(jac, phi._jacobian(phi.inverse))
+    with pytest.raises(ValueError, match="read-only"):
+        jac[0, 0, 0, 0] += 1.0
+
+
+def test_apply_rejects_a_non_finite_point_by_index(grid):
+    _, X, _ = make_setup(grid, 0)
+    phi = tg.flow(X, 2e-2, 5e-3)
+    with pytest.raises(ValueError, match=r"interpolation point 1 is not finite"):
+        phi.apply(np.array([[0.1, 0.2], [np.inf, 0.3]]))
 
 
 @pytest.mark.parametrize("density_seed", [None, 46])

@@ -535,6 +535,92 @@ def test_blocked_evaluation_equals_one_shot(monkeypatch, count, full):
     assert np.all(np.abs(blocked - one_shot) <= 1e-15 * max(f.max_abs() for f in fs))
 
 
+def _per_block_evaluation(interp, points, derivatives):
+    """The evaluation that the one-workspace Interpolator.__call__ replaced:
+    each block allocates its power rows, bases and product afresh, and the
+    derivative multipliers broadcast from one column."""
+    h, nf, mm = interp.eval_n // 2, interp._nfields, interp.eval_n
+    two_pi_k = 2.0 * np.pi * np.arange(1.0, h)[:, None]
+
+    def basis(coords, derivative):
+        z = np.exp(2j * np.pi * coords)
+        e = np.empty((h + 1, coords.shape[0]), dtype=complex)
+        e[0] = 1.0
+        for k in range(1, h + 1):
+            np.multiply(e[k - 1], z, out=e[k])
+        b = np.concatenate([e.real, e.imag[1:h]])
+        if not derivative:
+            return (b,)
+        d = np.empty_like(b)
+        d[0] = d[h] = 0.0
+        np.multiply(-two_pi_k, b[h + 1 :], out=d[1:h])
+        np.multiply(two_pi_k, b[1:h], out=d[h + 1 :])
+        return b, d
+
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    out = np.empty((3 if derivatives else 1, nf, pts.shape[0]))
+    shape = (nf, mm, -1)
+    for lo in range(0, pts.shape[0], fields.POINT_BLOCK):
+        block = slice(lo, lo + fields.POINT_BLOCK)
+        x, y = pts[block].T
+        if not derivatives:
+            tmp = (interp._packed @ basis(x, False)[0]).reshape(shape)
+            np.einsum("flm,lm->fm", tmp, basis(y, False)[0], out=out[0, :, block])
+            continue
+        bx = basis(x, True)
+        tmp = interp._packed @ bx[0]
+        by = basis(y, True)
+        np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[0, :, block])
+        np.einsum("flm,lm->fm", tmp.reshape(shape), by[1], out=out[2, :, block])
+        np.matmul(interp._packed, bx[1], out=tmp)
+        np.einsum("flm,lm->fm", tmp.reshape(shape), by[0], out=out[1, :, block])
+    return out if derivatives else out[0]
+
+
+@pytest.mark.parametrize("derivatives", [False, True], ids=["values", "derivatives"])
+@pytest.mark.parametrize("full", [False, True], ids=["chopped", "full"])
+def test_one_workspace_evaluation_is_the_per_block_evaluation_bit_for_bit(full, derivatives):
+    grid = Grid(64)
+    fs = [tg.random_band_limited(grid, seed, 4, 0.9) for seed in range(2)]
+    if full:
+        fs.append(ScalarField(grid, np.random.default_rng(5).standard_normal((64, 64))))
+    interp = tg.Interpolator(fs, derivatives=True)
+    assert interp.eval_n == (64 if full else 10)
+    block = fields.POINT_BLOCK
+    for m in (0, 1, block - 1, block, block + 1, 4096):
+        pts = np.random.default_rng(m).uniform(-1.5, 2.5, (m, 2))
+        got = interp(pts, derivatives=derivatives)
+        assert got.shape == ((3,) if derivatives else ()) + (len(fs), m)
+        assert np.array_equal(got, _per_block_evaluation(interp, pts, derivatives))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda f, p: tg.Interpolator([f])(p),
+        lambda f, p: tg.Interpolator([f], derivatives=True)(p, derivatives=True),
+        lambda f, p: tg.interpolate(f, p),
+    ],
+    ids=["values", "derivatives", "interpolate"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interpolation_rejects_a_non_finite_point_by_index(grid, evaluate, bad):
+    f = tg.random_band_limited(grid, 0, 4, 0.5)
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, (fields.POINT_BLOCK + 5, 2))
+    pts[fields.POINT_BLOCK + 2, 1] = bad
+    pts[fields.POINT_BLOCK + 4, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"interpolation point {fields.POINT_BLOCK + 2} is not finite"):
+        evaluate(f, pts)
+    with pytest.raises(ValueError, match=r"interpolation point 0 is not finite: \[ *0\.2 +nan\]"):
+        evaluate(f, np.array([0.2, np.nan]))
+
+
+def test_region_integral_rejects_a_non_finite_rectangle(grid):
+    f = tg.random_band_limited(grid, 0, 4, 0.5)
+    with pytest.raises(ValueError, match="interpolation point 0 is not finite"):
+        tg.region_integral(f, (0.1, np.inf, 0.2, 0.8))
+
+
 def test_chopped_interpolant_reproduces_every_lattice_sample(grid):
     f = tg.random_band_limited(grid, 13, 12, 0.7)
     interp = tg.Interpolator([f])
