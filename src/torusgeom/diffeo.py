@@ -152,7 +152,8 @@ class DiscreteDiffeo:
     rather than limited by re-differentiating the sampled map; volume_defect
     needs it.  The arrays are read-only copies, so the cached volume_defect
     and D(phi^-1), which every pushforward along the map reads, cannot go
-    stale.
+    stale.  The lattice points, (2, n, n), are built once next to them,
+    read-only, for apply, _jacobian and roundtrip_residual.
     """
 
     grid: Grid
@@ -165,17 +166,14 @@ class DiscreteDiffeo:
         for name in ("forward", "inverse", "det_forward"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_float_array(getattr(self, name)))
+        object.__setattr__(self, "_mesh", _read_only(np.stack(self.grid.meshes())))
         object.__setattr__(self, "_volume_defect", None)
         object.__setattr__(self, "_inverse_jacobian", None)
-
-    def _mesh(self) -> np.ndarray:
-        X, Y = self.grid.meshes()
-        return np.stack([X, Y])
 
     def _jacobian(self, samples: np.ndarray) -> np.ndarray:
         """D of the sampled map as [k, i] = d_i (map)^k, from spectral
         derivatives of its displacement."""
-        grad = _derivatives(samples - self._mesh())  # [i, k]
+        grad = _derivatives(samples - self._mesh)  # [i, k]
         return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
 
     def inverse_jacobian(self) -> np.ndarray:
@@ -188,7 +186,7 @@ class DiscreteDiffeo:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """The forward map at points (m, 2), by interpolating its displacement."""
-        d = _read_only(self.forward - self._mesh())
+        d = _read_only(self.forward - self._mesh)
         return np.asarray(points) + Interpolator([ScalarField(self.grid, c) for c in d])(points).T
 
     def volume_defect(self) -> float:
@@ -208,7 +206,7 @@ class DiscreteDiffeo:
     def roundtrip_residual(self) -> float:
         """sup distance of Phi(Phi^-1(x)) from x."""
         pts = self.apply(self.inverse.reshape(2, -1).T)
-        mesh = self._mesh().reshape(2, -1).T
+        mesh = self._mesh.reshape(2, -1).T
         diff = pts - mesh
         diff -= np.round(diff)
         return float(np.max(np.abs(diff)))
@@ -225,33 +223,34 @@ def _rk4_flow(
     """RK4 trajectories of the interpolated velocity; optionally carries the
     tangent map J along each trajectory (variational equation J' = DX J).
     at_points is interp(points, derivatives=tangent), the velocity where the
-    trajectories start, which the first stage takes."""
+    trajectories start, which the first stage takes.
+
+    J is component-first, a (2, 2, m) array with J[k, i] = d_i phi^k, and
+    each stage's DX J is formed in closed form from the interpolator's
+    (3, 2, m) output, whose row 1 + l holds d_l X^k: (DX J)[k, i] =
+    d_1 X^k J[0, i] + d_2 X^k J[1, i], four (m,)-vector sums."""
     h = t / nsteps
     p = points.copy()
-    m = p.shape[0]
-    jac = np.tile(np.eye(2), (m, 1, 1)) if tangent else None
+    jac = np.eye(2)[:, :, None] if tangent else None  # broadcasts to (2, 2, m)
 
-    def split(vals):
-        if not tangent:
-            return vals.T, None
-        # [f / d_x f / d_y f, k, point] -> velocity [point, k], DX [point, k, i]
-        return vals[0].T, np.ascontiguousarray(vals[1:].transpose(2, 1, 0))
+    def speed(vals):  # the velocity [point, k]
+        return (vals[0] if tangent else vals).T
 
-    def vel(q):
-        return split(interp(q, derivatives=tangent))
+    def dxj(vals, jac):
+        return vals[1][:, None] * jac[0] + vals[2][:, None] * jac[1]
 
     for step in range(nsteps):
-        k1, d1 = vel(p) if step else split(at_points)
-        k2, d2 = vel(p + 0.5 * h * k1)
-        k3, d3 = vel(p + 0.5 * h * k2)
-        k4, d4 = vel(p + h * k3)
+        v1 = interp(p, derivatives=tangent) if step else at_points
+        v2 = interp(p + 0.5 * h * speed(v1), derivatives=tangent)
+        v3 = interp(p + 0.5 * h * speed(v2), derivatives=tangent)
+        v4 = interp(p + h * speed(v3), derivatives=tangent)
         if tangent:
-            j1 = d1 @ jac
-            j2 = d2 @ (jac + 0.5 * h * j1)
-            j3 = d3 @ (jac + 0.5 * h * j2)
-            j4 = d4 @ (jac + h * j3)
+            j1 = dxj(v1, jac)
+            j2 = dxj(v2, jac + 0.5 * h * j1)
+            j3 = dxj(v3, jac + 0.5 * h * j2)
+            j4 = dxj(v4, jac + h * j3)
             jac = jac + (h / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = p + (h / 6.0) * (speed(v1) + 2.0 * speed(v2) + 2.0 * speed(v3) + speed(v4))
     return p, jac
 
 
@@ -290,7 +289,7 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     at_lattice = velocity(pts, derivatives=True)
     fwd, jac = _rk4_flow(velocity, pts, at_lattice, t, nsteps, tangent=True)
     inv, _ = _rk4_flow(velocity, pts, at_lattice[0], -t, nsteps)
-    det = np.linalg.det(jac).reshape(grid.n, grid.n)
+    det = (jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]).reshape(grid.n, grid.n)
     return DiscreteDiffeo(
         grid,
         fwd.T.reshape(2, grid.n, grid.n),

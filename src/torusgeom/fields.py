@@ -288,8 +288,12 @@ def random_band_limited(
 # set.  Every dropped mode lies outside the |k|_inf <= K box, and the l1 mass
 # sum |c_k| of the dropped modes bounds the pointwise change of the
 # interpolant.  Above CHOP_MASS_LIMIT * max|f| for any field the full band is
-# kept.
+# kept.  A mode at or below CHOP_ROUNDOFF * max|c| is the transform's own
+# roundoff (the FFT's error bound is of order eps log2(N) |c|_2), which the
+# full-band lattice data carries too, so it does not count toward that mass
+# (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
 CHOP_TOL = 1e-14
+CHOP_ROUNDOFF = 8 * np.finfo(float).eps
 CHOP_MASS_LIMIT = 1e-11
 # points per evaluation block: the (nfields * M, POINT_BLOCK) temporary stays small
 POINT_BLOCK = 1024
@@ -324,22 +328,19 @@ def _dropped_mass(mag: np.ndarray, band: int) -> np.ndarray:
     return outer
 
 
-def _dropped_ratio(samples, c, mag, band: int, derivatives: bool) -> float:
+def _dropped_ratio(samples, mag, band: int, derivatives: bool) -> float:
     """The chop guard's worst ratio: each field's dropped l1 mass over max|f|
-    and, with derivatives, each d_a f's, sum |2 pi k_a| |c_k|, over max|d_a f|
-    on the n lattice.  That max costs an irfft2, so it is taken only where the
-    rms (Parseval), a lower bound, fails; a reported ratio may only overstate."""
+    and, with derivatives, each d_a f's, sum |2 pi k_a| |c_k|, over its rms on
+    the n lattice (Parseval, read off the half spectrum).  Only modes above
+    CHOP_ROUNDOFF times their field's largest |c| count.  No transform runs."""
     n = samples.shape[-1]
+    mag = np.where(mag > CHOP_ROUNDOFF * mag.max(axis=(1, 2), keepdims=True), mag, 0.0)
     mass, norm = [_dropped_mass(mag, band)], [np.abs(samples).max(axis=(1, 2)) * (n * n)]
     if derivatives:
-        ik = np.stack(np.broadcast_arrays(_ik(n, 1), _ik(n, 2)))[:, None]
-        dmag = (mag * np.abs(ik)).reshape(-1, *mag.shape[1:])
+        ik = np.abs(np.stack(np.broadcast_arrays(_ik(n, 1), _ik(n, 2))))[:, None]
+        dmag = (mag * ik).reshape(-1, *mag.shape[1:])
         mass.append(_dropped_mass(dmag, band))
         norm.append(np.sqrt((np.square(dmag) @ _y_weight(n)).sum(axis=1)))  # n^2 rms
-        fail = mass[1] > CHOP_MASS_LIMIT * norm[1]
-        if fail.any():  # the lattice max of the failing derivatives only
-            dspec = (c * ik).reshape(dmag.shape)[fail]
-            norm[1][fail] = np.abs(np.fft.irfft2(dspec, s=(n, n))).max(axis=(1, 2)) * (n * n)
     ratio = np.concatenate(mass) / np.maximum(np.concatenate(norm), np.finfo(float).tiny)
     return float(ratio.max())
 
@@ -379,9 +380,11 @@ class Interpolator:
     largest |k|_inf kept, the |p|, q <= K block of the rfft2 half spectrum is
     copied exactly into the half spectrum of the smallest even grid M =
     max(8, 2K + 2), whose Nyquist modes are then zero.  When M >= n, or the
-    dropped l1 mass exceeds CHOP_MASS_LIMIT * max|f| (and, with derivatives,
-    its d_x f and d_y f analogue: _dropped_ratio), the full band is kept and
-    M = n.  band, eval_n and dropped report K, M and that ratio.
+    dropped l1 mass above the roundoff floor exceeds CHOP_MASS_LIMIT * max|f|
+    (and, with derivatives, its d_x f and d_y f analogue against their rms:
+    _dropped_ratio), the full band is kept and M = n.  band, eval_n and
+    dropped report K, M and that ratio.  The build runs one forward transform
+    of the field set, with or without derivatives, at every n.
 
     The coefficients are folded once into a real (nfields*M, M) matrix over
     the real basis 1, cos 2 pi k t (k = 1..M/2), sin 2 pi k t (k = 1..M/2-1)
@@ -394,11 +397,14 @@ class Interpolator:
     for the Nyquist cosine, as _ik does), and d_x f takes a second product.
     Each call allocates one workspace (power rows, bases, product) that every
     block refills; the values of a derivative call are bit for bit those of
-    a value call.  Non-finite points are rejected.
+    a value call.  An empty field set, points not of shape (m, 2) and
+    non-finite points are rejected.
     """
 
     def __init__(self, fields, derivatives: bool = False):
         fields = list(fields)
+        if not fields:
+            raise ValueError("Interpolator needs at least one field, got fields of shape (0,)")
         self.grid = _check_same_grid(*fields)
         n = self.grid.n
         self._nfields, self._derivatives = len(fields), derivatives
@@ -407,7 +413,7 @@ class Interpolator:
         mag = np.abs(c)
         k = _chop_band(mag)
         m = max(8, 2 * k + 2)  # even, and K stays below its Nyquist mode
-        dropped = _dropped_ratio(samples, c, mag, k, derivatives) if m < n else 0.0
+        dropped = _dropped_ratio(samples, mag, k, derivatives) if m < n else 0.0
         if m >= n or dropped > CHOP_MASS_LIMIT:
             k, m, dropped = n // 2, n, 0.0
         else:
@@ -441,11 +447,15 @@ class Interpolator:
 
     def __call__(self, points: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """Evaluate all fields at points of shape (m, 2); returns (nfields, m),
-        or with derivatives (3, nfields, m) stacking f, d_x f and d_y f.  A
-        non-finite point is rejected, naming its index."""
+        or with derivatives (3, nfields, m) stacking f, d_x f and d_y f; a
+        single point (x, y) counts as m = 1.  Points of another shape are
+        rejected, and a non-finite point is rejected, naming its index."""
         if derivatives and not self._derivatives:
             raise ValueError("derivatives need an Interpolator built with derivatives=True")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"interpolation points must have shape (m, 2), got points of shape "
+                             f"{np.shape(points)}")
         finite = np.isfinite(pts)
         if not finite.all():
             i = int(np.argmin(finite.all(axis=1)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import diffeo, fields, riemann, sampling, symplectic
+from torusgeom import diffeo, fields, riemann, sampling, suites, symplectic
 from torusgeom.diffeo import FLOW_MAX_DT, DiscreteDiffeo
 
 from conftest import make_setup, pair_scale, sup
@@ -136,7 +136,68 @@ def test_shared_lattice_stage_changes_no_bits(grid, density_seed):
     shape = (2, grid.n, grid.n)
     assert np.array_equal(phi.forward, fwd.T.reshape(shape))
     assert np.array_equal(phi.inverse, inv.T.reshape(shape))
-    assert np.array_equal(phi.det_forward, np.linalg.det(jac).reshape(grid.n, grid.n))
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]  # J is (2, 2, m)
+    assert np.array_equal(phi.det_forward, det.reshape(grid.n, grid.n))
+
+
+@pytest.mark.parametrize("density_seed", [None, 51])
+@pytest.mark.parametrize("n", [32, 48])
+def test_det_forward_agrees_with_lapack_det_of_the_same_jacobian(n, density_seed):
+    grid = tg.Grid(n)
+    vol = (sampling.flat_volume_form(grid) if density_seed is None
+           else sampling.random_volume_form(grid, density_seed))
+    X = tg.div_free_from_stream(sampling.random_stream(grid, 52), (0.2, -0.1), vol)
+    t, dt, nsteps = 2e-2, 5e-3, 4
+    phi = diffeo._flow_map(X, t, dt)
+    velocity = tg.Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
+    Xm, Ym = grid.meshes()
+    pts = np.column_stack([Xm.ravel(), Ym.ravel()])
+    _, jac = diffeo._rk4_flow(
+        velocity, pts, velocity(pts, derivatives=True), t, nsteps, tangent=True)
+    assert jac.shape == (2, 2, n * n)
+    lapack = np.linalg.det(jac.transpose(2, 0, 1)).reshape(n, n)
+    assert sup(phi.det_forward - lapack) <= 1e-14
+
+
+def test_det_forward_of_a_constant_field_is_exactly_one(grid):
+    # the field of translation_exact: its derivatives interpolate to exact
+    # zeros, so J stays the identity and det J = 1 - 0 bit for bit
+    xc = tg.div_free_from_stream(tg.constant_field(grid, 0.0), (0.0, 1.0),
+                                 sampling.flat_volume_form(grid))
+    phi = tg.flow(xc, 0.25, 5e-3)
+    assert np.all(phi.det_forward == 1.0)
+
+
+def test_lattice_mesh_is_built_once_read_only(grid):
+    _, X, _ = make_setup(grid, 4)
+    phi = tg.flow(X, 2e-2, 5e-3)
+    mesh = np.stack(grid.meshes())
+    assert np.array_equal(phi._mesh, mesh)
+    with pytest.raises(ValueError, match="read-only"):
+        phi._mesh[0, 0, 0] += 1.0
+    # apply, _jacobian and roundtrip_residual read it, bit for bit a fresh mesh
+    pts = np.random.default_rng(4).uniform(-0.5, 1.5, (40, 2))
+    disp = [tg.ScalarField(grid, c) for c in phi.forward - mesh]
+    assert np.array_equal(phi.apply(pts), pts + tg.Interpolator(disp)(pts).T)
+    grad = fields._derivatives(phi.inverse - mesh)
+    jac = grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
+    assert np.array_equal(phi._jacobian(phi.inverse), jac)
+    diff = phi.apply(phi.inverse.reshape(2, -1).T) - mesh.reshape(2, -1).T
+    diff -= np.round(diff)
+    assert phi.roundtrip_residual() == float(np.max(np.abs(diff)))
+    assert np.array_equal(phi._mesh, mesh)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_desk_velocities_chop_to_their_value_band_with_derivatives(n):
+    # the three fields flow-invariance integrates: the derivative guard holds
+    # the band the values chop to, at every n
+    config = suites.SuiteConfig(grid_sizes=[n], seeds=[0, 1, 2])
+    for seed, m in [(0, 10), (1, 50), (2, 10)]:
+        X = suites.FlowInvariance(config, seed, n).flow_field
+        interp = tg.Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
+        assert interp.eval_n == tg.Interpolator([X.vector.x1, X.vector.x2]).eval_n == m
+        assert interp.dropped <= fields.CHOP_MASS_LIMIT
 
 
 def test_pushforwards_along_one_map_build_its_inverse_jacobian_once(grid, monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import torusgeom as tg
-from torusgeom import bundles, diffeo, riemann, sampling, symplectic
+from torusgeom import bundles, diffeo, riemann, sampling, suites, symplectic
 from torusgeom.riemann import Metric
 
 N = 32
@@ -166,11 +166,23 @@ def test_geometry_chain_budget(counter, data):
     assert counter.total <= CHAIN_BEFORE * 2 // 3
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_a_derivative_interpolator_build_is_one_forward_transform(counter, n):
+    # the chop guard reads the half spectrum alone; the seed-1 flow-invariance
+    # velocity (random density) ran an irfft2 for its lattice max at n = 256
+    X = suites.FlowInvariance(suites.SuiteConfig(grid_sizes=[n]), 1, n).flow_field
+    counter.reset()
+    interp = tg.Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
+    assert interp.eval_n == 50
+    assert counter.ncalls("forward") == 1 and counter.fields("forward") == 2
+    assert counter.ncalls("backward") == 0
+
+
 def test_frame_transport_transforms_only_the_metric(counter):
     # omega is formed at the loop's nodes from the interpolated g and d g: no
-    # lattice Christoffel symbols or gradient are built, and the derivative
-    # guard's rms bound passes, so its irfft2 is skipped.  The lattice
-    # connection form took 20 transforms (8 forward, 12 backward).
+    # lattice Christoffel symbols or gradient are built, and the interpolator's
+    # chop guard runs no transform.  The lattice connection form took 20
+    # transforms (8 forward, 12 backward).
     grid = tg.Grid(64)
     g = sampling.random_compatible_metric(grid, 81, volume=sampling.random_volume_form(grid, 80))
     assert tg.Interpolator([g.g11, g.g12, g.g22], derivatives=True).eval_n < grid.n

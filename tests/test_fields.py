@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,12 +350,19 @@ def _band_plus_tail(n, band, tail):
     return ScalarField(Grid(n), values)
 
 
-def _dropped_mass(f, band):
-    """l1 mass of the full fft2 spectrum outside |k|_inf <= band, over max|f|."""
+def _spectrum_above(f, floor):
+    """|c_k| of the full fft2 spectrum, zero where |c_k| <= floor * max|c|."""
+    mag = np.abs(np.fft.fft2(f.values) / f.grid.n**2)
+    return np.where(mag > floor * mag.max(), mag, 0.0)
+
+
+def _dropped_mass(f, band, floor=0.0):
+    """l1 mass of the full fft2 spectrum outside |k|_inf <= band, over max|f|;
+    modes at or below floor times the largest |c_k| do not count."""
     n = f.grid.n
     k = np.abs(np.fft.fftfreq(n) * n)
     outside = np.maximum(k[:, None], k[None, :]) > band
-    return np.abs(np.fft.fft2(f.values) / n**2)[outside].sum() / f.max_abs()
+    return _spectrum_above(f, floor)[outside].sum() / f.max_abs()
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -394,7 +402,9 @@ def test_chopped_evaluator_within_the_dropped_mass_bound():
     interp = tg.Interpolator([f])
     assert (interp.band, interp.eval_n) == (3, 8)
     assert 1e-12 < interp.dropped <= fields.CHOP_MASS_LIMIT
-    assert interp.dropped == pytest.approx(_dropped_mass(f, 3), rel=1e-3, abs=0.0)
+    # the guard counts only the modes above its roundoff floor, so its oracle does
+    want = _dropped_mass(f, 3, fields.CHOP_ROUNDOFF)
+    assert interp.dropped == pytest.approx(want, rel=1e-3, abs=0.0)
     diff = sup(interp(_ORACLE_POINTS) - full_spectrum_oracle([f], _ORACLE_POINTS))
     assert diff <= (interp.dropped + 1e-14) * f.max_abs()
 
@@ -407,15 +417,16 @@ def test_dropped_mass_above_the_limit_keeps_the_full_band():
     _assert_matches_oracle([f], _ORACLE_POINTS)
 
 
-def _derivative_dropped_mass(f, band, axis, norm=sup):
+def _derivative_dropped_mass(f, band, axis, norm=sup, floor=0.0):
     """l1 mass of 2 pi |k_axis| |c_k| outside |k|_inf <= band, over norm(d_axis f)
-    on the lattice (the Nyquist entry of the differentiated axis is zero)."""
+    on the lattice (the Nyquist entry of the differentiated axis is zero);
+    modes at or below floor times the largest |c_k| do not count."""
     n = f.grid.n
     k = np.abs(np.fft.fftfreq(n) * n)
     outside = np.maximum(k[:, None], k[None, :]) > band
     k[n // 2] = 0.0
     weight = 2 * np.pi * (k[:, None] if axis == 1 else k[None, :])
-    mass = (weight * np.abs(np.fft.fft2(f.values) / n**2))[outside].sum()
+    mass = (weight * _spectrum_above(f, floor))[outside].sum()
     return mass / norm(complex_partial_oracle(f.values, axis))
 
 
@@ -480,19 +491,53 @@ def test_derivative_tail_above_the_limit_keeps_the_full_band():
     _assert_derivatives_match_oracle([f], _ORACLE_POINTS, interp)
 
 
-@pytest.mark.parametrize("tail, norm", [(0.1, _rms), (0.22, sup)], ids=["rms", "max"])
-def test_derivative_guard_reports_the_worst_dropped_mass(tail, norm):
-    # a derivative is held against its rms first and against its max only when
-    # the rms bound fails (at tail 0.22 it does: d_y f has max/rms = sqrt 2)
-    f = _band_plus_tail(32, 3, tail * fields.CHOP_TOL)
+@pytest.mark.parametrize("n, tail, band, m", [(16, 0.5, 3, 8), (32, 0.22, 16, 32)],
+                         ids=["rms", "max"])
+def test_derivative_guard_reports_the_worst_dropped_mass(n, tail, band, m):
+    # each derivative is held against its rms alone, a lower bound of its max,
+    # and only modes above the roundoff floor count.  At n = 16 the tail passes
+    # against the rms; at n = 32, tail 0.22 it passes against max|d_y f| (max/rms
+    # = sqrt 2) but not against the rms, so the full band is kept
+    f = _band_plus_tail(n, 3, tail * fields.CHOP_TOL)
+    floor = fields.CHOP_ROUNDOFF
+    by_max = [_derivative_dropped_mass(f, 3, a, floor=floor) for a in (1, 2)]
+    by_rms = [_derivative_dropped_mass(f, 3, a, _rms, floor) for a in (1, 2)]
+    assert _dropped_mass(f, 3, floor) < max(by_max) <= fields.CHOP_MASS_LIMIT
+    assert (max(by_rms) > fields.CHOP_MASS_LIMIT) == (band == n // 2)
     interp = tg.Interpolator([f], derivatives=True)
-    assert (interp.band, interp.eval_n) == (3, 8)
-    by_max = [_derivative_dropped_mass(f, 3, a) for a in (1, 2)]
-    by_rms = [_derivative_dropped_mass(f, 3, a, _rms) for a in (1, 2)]
-    assert _dropped_mass(f, 3) < max(by_max) <= fields.CHOP_MASS_LIMIT
-    assert (max(by_rms) > fields.CHOP_MASS_LIMIT) == (norm is sup)
-    want = max(_derivative_dropped_mass(f, 3, a, norm) for a in (1, 2))
+    assert (interp.band, interp.eval_n) == (band, m)
+    want = max(by_rms) if band < n // 2 else 0.0
     assert interp.dropped == pytest.approx(want, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_band_limited_field_plus_roundoff_noise_chops_to_its_band_with_derivatives(n):
+    # the k-weighted mass of the roundoff plateau grows with n; below the
+    # floor it does not count, so the derivative guard keeps the band
+    grid = Grid(n)
+    f = tg.random_band_limited(grid, 4, 4, 0.8)
+    noise = 1e-17 * f.max_abs() * np.random.default_rng(n).standard_normal((n, n))
+    interp = tg.Interpolator([f, ScalarField(grid, f.values + noise)], derivatives=True)
+    assert (interp.band, interp.eval_n) == (4, 10)
+    assert interp.dropped <= fields.CHOP_MASS_LIMIT
+
+
+def test_slowly_decaying_tail_above_the_floor_keeps_the_full_band():
+    # |c_k| / max|c| = 10^(-0.15 |k|_inf): the values chop near |k|_inf = 93, but
+    # the k-weighted modes between there and the floor are signal, and they
+    # fail the derivative guard
+    n = 256
+    rng = np.random.default_rng(7)
+    k = np.arange(n)
+    kinf = np.maximum(np.minimum(k, n - k)[:, None], k[None, : n // 2 + 1])
+    spec = 10.0 ** (-0.15 * kinf) * np.exp(2j * np.pi * rng.random(kinf.shape))
+    f = ScalarField(Grid(n), np.fft.irfft2(spec, s=(n, n)))
+    band = tg.Interpolator([f]).band
+    assert band < 100
+    floor = fields.CHOP_ROUNDOFF
+    assert _derivative_dropped_mass(f, band, 2, _rms, floor) > fields.CHOP_MASS_LIMIT
+    interp = tg.Interpolator([f], derivatives=True)
+    assert (interp.band, interp.eval_n, interp.dropped) == (n // 2, n, 0.0)
 
 
 def test_derivatives_need_an_interpolator_built_for_them(grid):
@@ -619,6 +664,21 @@ def test_region_integral_rejects_a_non_finite_rectangle(grid):
     f = tg.random_band_limited(grid, 0, 4, 0.5)
     with pytest.raises(ValueError, match="interpolation point 0 is not finite"):
         tg.region_integral(f, (0.1, np.inf, 0.2, 0.8))
+
+
+def test_interpolator_rejects_an_empty_field_set():
+    with pytest.raises(ValueError, match=r"fields of shape \(0,\)"):
+        tg.Interpolator([])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 1), (3,), (2, 5, 2)],
+                         ids=["m-3", "m-1", "one-3", "rank-3"])
+def test_interpolation_rejects_points_not_of_shape_m_2(grid, shape):
+    interp = tg.Interpolator([tg.random_band_limited(grid, 0, 4, 0.5)], derivatives=True)
+    pts = np.full(shape, 0.25)
+    for derivatives in (False, True):
+        with pytest.raises(ValueError, match=rf"points of shape {re.escape(str(shape))}"):
+            interp(pts, derivatives=derivatives)
 
 
 def test_chopped_interpolant_reproduces_every_lattice_sample(grid):
