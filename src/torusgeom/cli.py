@@ -9,10 +9,9 @@ of the config's full run, with the same residual, note and tolerance.  Exit
 codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error, including a config that cannot run or cannot fail (a
 negative seed, no suites, a suite named twice) and a `--record` seed or N
-outside that check's sweep.  The environment variable
-TORUSGEOM_REPORT_DIR, when set, overrides the directory of the output files.
-Report bodies are deterministic for a fixed config up to the generated_at
-timestamp and the wall_time fields.
+outside that check's sweep.  The convergence CSV is written next to the
+report, as <report stem>_convergence.csv.  Report bodies are deterministic
+for a fixed config up to the generated_at timestamp and the wall_time fields.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import argparse
 import dataclasses
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
-from .suites import SUITE_NAMES, SuiteConfig, emit_convergence_table, run_suites
+from .suites import SUITE_NAMES, SuiteConfig, convergence_table, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,14 +81,6 @@ def _parse_record(spec: str) -> tuple[str, int, int]:
         raise ValueError(f"--record seed and N must be integers in '{spec}'") from err
 
 
-def _out_path(raw: str) -> Path:
-    path = Path(raw)
-    override = os.environ.get("TORUSGEOM_REPORT_DIR")
-    if override:
-        path = Path(override) / path.name
-    return path
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -106,11 +96,12 @@ def main(argv=None) -> int:
     body = report.to_dict()
     body["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    out = _out_path(args.out)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
-    warning = emit_convergence_table(report, out.with_name(out.stem + "_convergence.csv"))
+    csv_text, warning = convergence_table(report)
+    out.with_name(out.stem + "_convergence.csv").write_text(csv_text)
     if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,10 +151,10 @@ class DiscreteDiffeo:
     flow, not by map inversion.  det_forward, which flow sets, is det DPhi at
     the lattice from the variational (tangent-map) flow, which is RK4-limited
     rather than limited by re-differentiating the sampled map; volume_defect
-    needs it.  The arrays are read-only copies, so the cached volume_defect
-    and D(phi^-1), which every pushforward along the map reads, cannot go
-    stale.  The lattice points, (2, n, n), are built once next to them,
-    read-only, for apply, _jacobian and roundtrip_residual.
+    needs it.  The arrays are read-only copies, so what is built from them
+    when first read and cached cannot go stale: the lattice points (2, n, n),
+    D(phi^-1), which every pushforward along the map reads, and the volume
+    defect.
     """
 
     grid: Grid
@@ -166,22 +167,19 @@ class DiscreteDiffeo:
         for name in ("forward", "inverse", "det_forward"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_float_array(getattr(self, name)))
-        object.__setattr__(self, "_mesh", _read_only(np.stack(self.grid.meshes())))
-        object.__setattr__(self, "_volume_defect", None)
-        object.__setattr__(self, "_inverse_jacobian", None)
 
-    def _jacobian(self, samples: np.ndarray) -> np.ndarray:
-        """D of the sampled map as [k, i] = d_i (map)^k, from spectral
-        derivatives of its displacement."""
-        grad = _derivatives(samples - self._mesh)  # [i, k]
-        return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
+    @cached_property
+    def _mesh(self) -> np.ndarray:
+        return _read_only(np.stack(self.grid.meshes()))
+
+    @cached_property
+    def _inverse_jacobian(self) -> np.ndarray:
+        grad = _derivatives(self.inverse - self._mesh)  # [i, k]
+        return _read_only(grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None])
 
     def inverse_jacobian(self) -> np.ndarray:
-        """D(phi^-1) at the lattice, [k, i] = d_i (phi^-1)^k, read-only.
-        Computed once."""
-        if self._inverse_jacobian is None:
-            jac = _read_only(self._jacobian(self.inverse))
-            object.__setattr__(self, "_inverse_jacobian", jac)
+        """D(phi^-1) at the lattice, [k, i] = d_i (phi^-1)^k, read-only, from
+        spectral derivatives of the inverse's displacement.  Computed once."""
         return self._inverse_jacobian
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -189,19 +187,18 @@ class DiscreteDiffeo:
         d = _read_only(self.forward - self._mesh)
         return np.asarray(points) + Interpolator([ScalarField(self.grid, c) for c in d])(points).T
 
-    def volume_defect(self) -> float:
-        """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f with det DPhi = det_forward;
-        a map without det_forward is rejected.  Computed once."""
-        if self._volume_defect is None:
-            object.__setattr__(self, "_volume_defect", self._compute_volume_defect())
-        return self._volume_defect
-
-    def _compute_volume_defect(self) -> float:
+    @cached_property
+    def _volume_defect(self) -> float:
         if self.det_forward is None:
             raise ValueError("volume_defect needs det_forward, the variational-flow determinant")
         f = self.volume.density
         f_phi = Interpolator([f])(self.forward.reshape(2, -1).T)[0].reshape(f.values.shape)
         return float(np.max(np.abs(f_phi * self.det_forward - f.values)) / np.max(np.abs(f.values)))
+
+    def volume_defect(self) -> float:
+        """sup |f(Phi(x)) det DPhi(x) - f(x)| / sup f with det DPhi = det_forward;
+        a map without det_forward is rejected.  Computed once."""
+        return self._volume_defect
 
     def roundtrip_residual(self) -> float:
         """sup distance of Phi(Phi^-1(x)) from x."""

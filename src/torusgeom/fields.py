@@ -396,9 +396,9 @@ class Interpolator:
     contraction with the y basis; derivatives differentiate the basis (to 0
     for the Nyquist cosine, as _ik does), and d_x f takes a second product.
     Each call allocates one workspace (power rows, bases, product) that every
-    block refills; the values of a derivative call are bit for bit those of
-    a value call.  An empty field set, points not of shape (m, 2) and
-    non-finite points are rejected.
+    block refills; a derivative call runs a value call's steps and then its
+    own three, so its values are bit for bit a value call's.  An empty field
+    set, points not of shape (m, 2) and non-finite points are rejected.
     """
 
     def __init__(self, fields, derivatives: bool = False):
@@ -428,10 +428,10 @@ class Interpolator:
         self._packed = _fold(c, 1.0 / (n * n))
 
     def _basis(self, coords: np.ndarray, powers: np.ndarray, basis: np.ndarray,
-               d: np.ndarray | None = None, k: np.ndarray | None = None) -> None:
+               d: np.ndarray | None, k: np.ndarray | None) -> None:
         """Fill the workspace rows basis (M, w) with 1, cos 2 pi k t (k = 1..M/2)
         and sin 2 pi k t (k = 1..M/2-1) at coords from z^k = z^(k-1) z, one
-        contiguous row of powers (M/2+1, w) per step, and d (M, w), if given,
+        contiguous row of powers (M/2+1, w) per step, and d (M, w), unless None,
         with their d/dt; k is the (2, M/2-1, w) array of -2 pi k and 2 pi k."""
         h = self.eval_n // 2
         z = np.exp(2j * np.pi * coords)
@@ -478,21 +478,16 @@ class Interpolator:
             tmp = prod[: nf * mm * w].reshape(nf * mm, w)
             fml = tmp.reshape(nf, mm, w)
             block = slice(lo, lo + w)
-            if not derivatives:
-                self._basis(x, e, bx)
-                np.matmul(self._packed, bx, out=tmp)
-                self._basis(y, e, by)
-                np.einsum("flm,lm->fm", fml, by, out=out[0, :, block])
-                continue
-            dx, dy = d
-            kw = k[:, :, :w]
+            dx, dy = d or (None, None)
+            kw = k[:, :, :w] if derivatives else None
             self._basis(x, e, bx, dx, kw)
             np.matmul(self._packed, bx, out=tmp)
             self._basis(y, e, by, dy, kw)  # after the product: building it first was slower
             np.einsum("flm,lm->fm", fml, by, out=out[0, :, block])
-            np.einsum("flm,lm->fm", fml, dy, out=out[2, :, block])
-            np.matmul(self._packed, dx, out=tmp)
-            np.einsum("flm,lm->fm", fml, by, out=out[1, :, block])
+            if derivatives:
+                np.einsum("flm,lm->fm", fml, dy, out=out[2, :, block])
+                np.matmul(self._packed, dx, out=tmp)
+                np.einsum("flm,lm->fm", fml, by, out=out[1, :, block])
         return out if derivatives else out[0]
 
 

@@ -25,7 +25,6 @@ import math
 import time
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -115,6 +114,12 @@ class Point:
     def scale(self, X) -> float:
         """|X| |h|, the normaliser of the Lemma 1 and momentum residuals."""
         return max(l2_norm_vector(X.vector, self.g) * l2_norm_sym2(self.h.h, self.g), 1e-30)
+
+    def lemma1_defect(self, X) -> float:
+        """|Omega_g(X.g, h) - lemma1_rhs| / (|X| |h|), X.g read past the trace gate."""
+        fv = diffeo.fundamental_vector(X, self.g, PAST_TRACE_GATE)
+        lhs = symplectic.omega(self.g, fv, self.h)
+        return abs(lhs - diffeo.lemma1_rhs(self.g, X, self.h)) / self.scale(X)
 
     @cached_property
     def flow_field(self):
@@ -344,10 +349,7 @@ class Lemma1(Point, suite="lemma1", tolerance=1e-8):
 
     @check(desk(SEEDS))
     def lemma1_equality(self):
-        fv = diffeo.fundamental_vector(self.field, self.g, PAST_TRACE_GATE)
-        lhs = symplectic.omega(self.g, fv, self.h)
-        rhs = diffeo.lemma1_rhs(self.g, self.field, self.h)
-        return abs(lhs - rhs) / self.scale(self.field)
+        return self.lemma1_defect(self.field)
 
     @check(desk(SEEDS), tolerance=1e-11)
     def mu_h_symmetry(self):
@@ -596,10 +598,7 @@ class Convergence(Point, suite="convergence", tolerance=1e-2):
 
     @check(every_size, tolerance=1.0)
     def lemma1_residual(self):
-        fv = diffeo.fundamental_vector(self.X, self.g, PAST_TRACE_GATE)
-        lhs = symplectic.omega(self.g, fv, self.h)
-        rhs = diffeo.lemma1_rhs(self.g, self.X, self.h)
-        return abs(lhs - rhs) / self.scale(self.X), "informational; quadrature-floor dominated"
+        return self.lemma1_defect(self.X), "informational; quadrature-floor dominated"
 
     @check(finest_of_several)
     def dalpha_ratio(self):
@@ -724,10 +723,9 @@ def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:
 
 
 def _run_suite(config: SuiteConfig, suite: str) -> list[CheckResult]:
-    records, point = [], None
+    records = []
     for (seed, n), checks in plan(config, suite).items():
-        # the previous point lives on while this one builds, so the heap does not shrink and refault
-        point, previous = SUITES[suite](config, seed, n), point
+        point = SUITES[suite](config, seed, n)
         records += [_run(c, point) for c in checks]
     return records
 
@@ -814,10 +812,3 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
             rows.append(f"{check},{n},{res:.6e},{ratio},{flag}")
             prev = res
     return "\n".join(rows) + "\n", None
-
-
-def emit_convergence_table(report: SuiteReport, path) -> str | None:
-    """Write the convergence CSV next to a report; returns the warning, if any."""
-    csv_text, warning = convergence_table(report)
-    Path(path).write_text(csv_text)
-    return warning

@@ -43,10 +43,6 @@ class TangentVector:
                     f"(limit {self.tol * scale:.3e})"
                 )
 
-    @property
-    def grid(self):
-        return self.h.grid
-
 
 def _require_same_base(g: Metric, tv: TangentVector):
     if tv.base is not g and not np.array_equal(tv.base.stack(), g.stack()):

@@ -25,11 +25,10 @@ def flat(grid):
 
 @pytest.fixture(scope="session")
 def default_verify(tmp_path_factory):
-    """The default `verify`, run once per session as a subprocess with
-    TORUSGEOM_REPORT_DIR unset: (the finished process, its wall time in s,
-    the report path)."""
+    """The default `verify`, run once per session as a subprocess: (the
+    finished process, its wall time in s, the report path)."""
     out = tmp_path_factory.mktemp("default") / "report.json"
-    env = {k: v for k, v in os.environ.items() if k != "TORUSGEOM_REPORT_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "torusgeom", "--out", str(out)],

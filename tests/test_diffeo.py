@@ -63,15 +63,15 @@ def test_divfree_flow_preserves_volume(grid):
 
 
 def test_flow_result_is_read_only_and_volume_defect_cached(grid, monkeypatch):
-    computed = []
-    real = DiscreteDiffeo._compute_volume_defect
-    monkeypatch.setattr(DiscreteDiffeo, "_compute_volume_defect",
-                        lambda self: computed.append(1) or real(self))
     vol = sampling.random_volume_form(grid, 43)
     X = tg.div_free_from_stream(sampling.random_stream(grid, 44), (0.0, 0.0), vol)
-    phi = tg.flow(X, 5e-3, 5e-3)  # evaluates the defect for its own gate
+    phi = diffeo._flow_map(X, 5e-3, 5e-3)
+    built = []
+    real = diffeo.Interpolator
+    monkeypatch.setattr(diffeo, "Interpolator", lambda *a, **kw: built.append(1) or real(*a, **kw))
     assert phi.volume_defect() == phi.volume_defect() <= 1e-6
-    assert len(computed) == 1
+    assert diffeo._certify_volume(phi) is phi  # flow's gate reads the same defect
+    assert len(built) == 1
     for arr in (phi.forward, phi.inverse, phi.det_forward):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] += 1.0
@@ -175,17 +175,22 @@ def test_lattice_mesh_is_built_once_read_only(grid):
     assert np.array_equal(phi._mesh, mesh)
     with pytest.raises(ValueError, match="read-only"):
         phi._mesh[0, 0, 0] += 1.0
-    # apply, _jacobian and roundtrip_residual read it, bit for bit a fresh mesh
+    # apply, inverse_jacobian and roundtrip_residual read it, bit for bit a fresh mesh
     pts = np.random.default_rng(4).uniform(-0.5, 1.5, (40, 2))
     disp = [tg.ScalarField(grid, c) for c in phi.forward - mesh]
     assert np.array_equal(phi.apply(pts), pts + tg.Interpolator(disp)(pts).T)
-    grad = fields._derivatives(phi.inverse - mesh)
-    jac = grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
-    assert np.array_equal(phi._jacobian(phi.inverse), jac)
+    assert np.array_equal(phi.inverse_jacobian(), _spectral_jacobian(phi.inverse - mesh))
     diff = phi.apply(phi.inverse.reshape(2, -1).T) - mesh.reshape(2, -1).T
     diff -= np.round(diff)
     assert phi.roundtrip_residual() == float(np.max(np.abs(diff)))
+    assert phi._mesh is phi._mesh
     assert np.array_equal(phi._mesh, mesh)
+
+
+def _spectral_jacobian(displacement):
+    """[k, i] = d_i (mesh + displacement)^k, from spectral derivatives."""
+    grad = fields._derivatives(displacement)  # [i, k]
+    return grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None]
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -204,14 +209,13 @@ def test_pushforwards_along_one_map_build_its_inverse_jacobian_once(grid, monkey
     g, X, h = make_setup(grid, 1)
     k = sampling.random_tangent(g, 50)
     phi = tg.flow(X, 2e-2, 5e-3)
-    built = []
-    real = DiscreteDiffeo._jacobian
-    monkeypatch.setattr(DiscreteDiffeo, "_jacobian",
-                        lambda self, samples: built.append(samples) or real(self, samples))
+    calls = []
+    real = diffeo._derivatives
+    monkeypatch.setattr(diffeo, "_derivatives", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     gp = tg.pushforward_metric(phi, g)
     tg.pushforward_tangent(phi, h, gp)
     tg.pushforward_tangent(phi, k, gp)
-    assert len(built) == 1 and built[0] is phi.inverse
+    assert len(calls) == 1
 
 
 def test_inverse_jacobian_is_cached_read_only(grid):
@@ -219,7 +223,7 @@ def test_inverse_jacobian_is_cached_read_only(grid):
     phi = tg.flow(X, 2e-2, 5e-3)
     jac = phi.inverse_jacobian()
     assert phi.inverse_jacobian() is jac
-    assert np.array_equal(jac, phi._jacobian(phi.inverse))
+    assert np.array_equal(jac, _spectral_jacobian(phi.inverse - np.stack(grid.meshes())))
     with pytest.raises(ValueError, match="read-only"):
         jac[0, 0, 0, 0] += 1.0
 

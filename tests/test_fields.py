@@ -339,8 +339,12 @@ def test_interpolator_single_point_matches_oracle(n):
 
 
 def _band_plus_tail(n, band, tail):
-    """cos 2 pi (band x + y) (every |c| = 1/2, max|f| = 1) plus modes of
-    magnitude tail / 2 and random phase at every |k|_inf > band."""
+    """cos 2 pi (band x + y) (every |c| = 1/2, max|f| = 1) plus a tail at
+    every |k|_inf > band, from a half spectrum of magnitude tail / 2 and
+    random phase through irfft2.  Off the q = 0 and q = n/2 columns each tail
+    mode has magnitude tail / 2; irfft2 keeps only the Hermitian part of those
+    two columns, so there a mode is |c_p + conj(c_-p)| / 2, anywhere from 0
+    to tail / 2."""
     rng = np.random.default_rng(n + band)
     k = np.arange(n)
     kinf = np.maximum(np.minimum(k, n - k)[:, None], k[None, : n // 2 + 1])

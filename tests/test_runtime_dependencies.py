@@ -1,0 +1,48 @@
+"""The package's one runtime dependency is numpy: every module imports only
+the standard library, numpy and its own package, and pyproject.toml declares
+numpy alone."""
+
+import ast
+import sys
+import tomllib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "torusgeom").glob("*.py"))
+
+
+def _imported_top_levels(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports in a module; relative imports
+    (within the package) are skipped."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_module_imports_only_the_standard_library_and_numpy(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = {name for name in _imported_top_levels(tree)
+               if name != "numpy" and name not in sys.stdlib_module_names}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_the_import_scan_sees_a_third_party_import():
+    tree = ast.parse("import numpy as np\nfrom scipy import fft\nfrom . import fields\n"
+                     "from .riemann import Metric\nimport os.path\n")
+    assert _imported_top_levels(tree) == {"numpy", "scipy", "os"}
+
+
+def test_pyproject_declares_numpy_as_the_only_runtime_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
