@@ -31,6 +31,7 @@ from .fields import (
     Interpolator,
     ScalarField,
     TwoForm,
+    _check_finite_points,
     _check_same_grid,
     _derivatives,
     _gauss_legendre,
@@ -81,10 +82,7 @@ class Loop:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("loop needs an (m+1, 2) array of vertices")
-        finite = np.isfinite(pts)
-        if not finite.all():
-            i = int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"loop vertex {i} is not finite: {pts[i]}")
+        _check_finite_points("loop vertex", pts)
         gap = pts[-1] - pts[0]
         if np.max(np.abs(gap - np.round(gap))) > 1e-9:
             raise ValueError("loop is not closed modulo Z^2")
@@ -159,7 +157,7 @@ def constant_curvature_class(
     mu: VolumeForm, chern: int, holA: float = 0.0, holB: float = 0.0
 ) -> CircleBundleClass:
     """Class with curvature 2*pi*chern * mu / vol(mu); handy test input."""
-    scale = TWO_PI * chern / mu.total()
+    scale = TWO_PI * chern / integrate(mu.stack())
     return CircleBundleClass(TwoForm.from_stack(mu.grid, scale * mu.stack()), holA, holB, chern)
 
 

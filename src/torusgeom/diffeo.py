@@ -29,6 +29,7 @@ from .riemann import (
     Metric,
     VolumeForm,
     _check_finite,
+    _det,
     cov_deriv_vector,
     divergence_sym2,
     metric_lie_derivative,
@@ -39,14 +40,16 @@ from .symplectic import TangentVector, tracefree_project
 FLOW_MAX_DT = 1e-2
 FLOW_VOLUME_LIMIT = 1e-4
 PUSHFORWARD_COMPAT_TOL = 1e-5  # RK4-limited, not the spectral floor of exact metrics
+CLOSED_FLUX_TOL = 1e-11  # DivFreeField: sup |d(X . mu)| over max(|psi|, |a|, |b|, 1)
+ZERO_MEAN_TOL = 1e-12  # DivFreeField: |mean psi| over max(|psi|, 1)
 FUNDAMENTAL_TRACE_TOL = 1e-9  # fundamental_vector's default trace gate, for N >= 64
 
 
 @dataclass(frozen=True, eq=False)
 class DivFreeField:
     """mu-divergence-free vector field with stream and harmonic data; the
-    closed-flux gate sup |d(X . mu)| <= 1e-11 max(|psi|, |a|, |b|, 1) runs when
-    it is built."""
+    closed-flux gate sup |d(X . mu)| <= CLOSED_FLUX_TOL max(|psi|, |a|, |b|, 1)
+    runs when it is built."""
 
     stream: ScalarField
     harmonic: tuple[float, float]
@@ -58,7 +61,7 @@ class DivFreeField:
             _check_finite("stream function", self.stream.values)
         if not np.isfinite(self.harmonic).all():
             raise ValueError(f"harmonic part is not finite: {self.harmonic}")
-        if abs(self.stream.mean()) > 1e-12 * max(scale, 1.0):
+        if abs(self.stream.mean()) > ZERO_MEAN_TOL * max(scale, 1.0):
             raise ValueError("stream function must have zero mean")
         flux = _derivatives(self.stream.values) + np.array(self.harmonic)[:, None, None]
         vec = VectorField.from_stack(  # X^i mu_ik = flux_k, k != i
@@ -66,7 +69,7 @@ class DivFreeField:
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "_flux", flux)
         res = self.closedness_residual()
-        if not res <= 1e-11 * max(scale, abs(self.harmonic[0]), abs(self.harmonic[1]), 1.0):
+        if not res <= CLOSED_FLUX_TOL * max(scale, *map(abs, self.harmonic), 1.0):
             raise ValueError(f"divergence-free reconstruction failed: d(X.mu) = {res:.3e}")
 
     @property
@@ -153,8 +156,8 @@ class DiscreteDiffeo:
     rather than limited by re-differentiating the sampled map; volume_defect
     needs it.  The arrays are read-only copies, so what is built from them
     when first read and cached cannot go stale: the lattice points (2, n, n),
-    D(phi^-1), which every pushforward along the map reads, and the volume
-    defect.
+    the attribute inverse_jacobian, D(phi^-1), which every pushforward along
+    the map reads, and the volume defect.
     """
 
     grid: Grid
@@ -173,14 +176,11 @@ class DiscreteDiffeo:
         return _read_only(np.stack(self.grid.meshes()))
 
     @cached_property
-    def _inverse_jacobian(self) -> np.ndarray:
-        grad = _derivatives(self.inverse - self._mesh)  # [i, k]
-        return _read_only(grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None])
-
     def inverse_jacobian(self) -> np.ndarray:
         """D(phi^-1) at the lattice, [k, i] = d_i (phi^-1)^k, read-only, from
-        spectral derivatives of the inverse's displacement.  Computed once."""
-        return self._inverse_jacobian
+        spectral derivatives of the inverse's displacement."""
+        grad = _derivatives(self.inverse - self._mesh)  # [i, k]
+        return _read_only(grad.transpose(1, 0, 2, 3) + np.eye(2)[:, :, None, None])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """The forward map at points (m, 2), by interpolating its displacement."""
@@ -254,7 +254,11 @@ def _rk4_flow(
 def flow(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     """The flow of X for time t with RK4 steps of size <= dt (_flow_map),
     certified volume-preserving within FLOW_VOLUME_LIMIT."""
-    return _certify_volume(_flow_map(X, t, dt))
+    phi = _flow_map(X, t, dt)
+    defect = phi.volume_defect()
+    if defect > FLOW_VOLUME_LIMIT:
+        raise ValueError(f"flow volume defect {defect:.3e} exceeds {FLOW_VOLUME_LIMIT}; reduce dt")
+    return phi
 
 
 def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
@@ -286,7 +290,7 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     at_lattice = velocity(pts, derivatives=True)
     fwd, jac = _rk4_flow(velocity, pts, at_lattice, t, nsteps, tangent=True)
     inv, _ = _rk4_flow(velocity, pts, at_lattice[0], -t, nsteps)
-    det = (jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]).reshape(grid.n, grid.n)
+    det = _det(jac).reshape(grid.n, grid.n)
     return DiscreteDiffeo(
         grid,
         fwd.T.reshape(2, grid.n, grid.n),
@@ -296,21 +300,11 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     )
 
 
-def _certify_volume(phi: DiscreteDiffeo) -> DiscreteDiffeo:
-    """phi, once its volume defect is within FLOW_VOLUME_LIMIT."""
-    defect = phi.volume_defect()
-    if defect > FLOW_VOLUME_LIMIT:
-        raise ValueError(
-            f"flow volume defect {defect:.3e} exceeds {FLOW_VOLUME_LIMIT}; reduce dt"
-        )
-    return phi
-
-
 def _pushforward_sym2_stack(phi: DiscreteDiffeo, comps: list[ScalarField]) -> np.ndarray:
     """Common kernel: (phi_* T)_ij = J^k_i J^l_j T_kl(phi^-1), J = D(phi^-1),
     symmetrized to cancel roundoff."""
     grid = phi.grid
-    jac = phi.inverse_jacobian()
+    jac = phi.inverse_jacobian
     pulled = Interpolator(comps)(phi.inverse.reshape(2, -1).T).reshape(3, grid.n, grid.n)
     tpull = pulled[[[0, 1], [1, 2]]]  # (c11, c12, c22) -> T[k, l]
     out = np.einsum("kiab,ljab,klab->ijab", jac, jac, tpull)
@@ -323,20 +317,15 @@ def _push_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
     return Metric.from_stack(phi.grid, arr, volume=g.volume)
 
 
-def _certify_compatible(pushed: Metric) -> Metric:
-    """pushed, once its compatibility residual is within PUSHFORWARD_COMPAT_TOL."""
-    res = pushed.compatibility_residual()
-    if res > PUSHFORWARD_COMPAT_TOL:
-        raise ValueError(
-            f"pushforward lost compatibility: residual {res:.3e} > {PUSHFORWARD_COMPAT_TOL}"
-        )
-    return pushed
-
-
 def pushforward_metric(phi: DiscreteDiffeo, g: Metric) -> Metric:
     """Push g forward along phi; the result is re-certified compatible
     within PUSHFORWARD_COMPAT_TOL."""
-    return _certify_compatible(_push_metric(phi, g))
+    pushed = _push_metric(phi, g)
+    res = pushed.compatibility_residual()
+    if res > PUSHFORWARD_COMPAT_TOL:
+        raise ValueError(f"pushforward lost compatibility: residual {res:.3e} > "
+                         f"{PUSHFORWARD_COMPAT_TOL}")
+    return pushed
 
 
 def pushforward_tangent(

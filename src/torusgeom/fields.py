@@ -48,13 +48,18 @@ class Grid:
     def spacing(self) -> float:
         return 1.0 / self.n
 
-    def axis_points(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
     def meshes(self):
         """Coordinate arrays X, Y of shape (n, n), indexing 'ij'."""
-        a = self.axis_points()
+        a = np.arange(self.n) / self.n
         return np.meshgrid(a, a, indexing="ij")
+
+
+def _check_finite_points(what: str, pts: np.ndarray) -> None:
+    """Reject a non-finite row of the (m, 2) points pts, naming its index."""
+    finite = np.isfinite(pts)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"{what} {i} is not finite: {pts[i]}")
 
 
 def _check_same_grid(*fields):
@@ -349,28 +354,19 @@ def _fold(c: np.ndarray, scale: float) -> np.ndarray:
     """Real (F*n, n) coefficient matrix of scale times an rfft2 half spectrum
     (F, n, n/2+1), y basis index major within each field; c is overwritten.
 
-    x rows: d = c_0, c_p + c_-p (cos, p = 1..h-1), c_h (cos), i (c_p - c_-p)
-    (sin); y columns of each row d: Re(d e^{2 pi i q y}) = Re d cos - Im d
-    sin, the Nyquist mode a cosine.  Each block is written straight into the
-    transposed (field, y basis, x basis) layout, so that one product with
-    the x basis leaves a (field, y basis, point) array.
+    x rows, complex over the y modes q = 0..h: d = c_0, c_p + c_-p (cos,
+    p = 1..h-1), c_h (cos), i (c_p - c_-p) (sin); y columns of each row d:
+    Re(d e^{2 pi i q y}) = Re d cos - Im d sin, the Nyquist mode a cosine.
+    One transposed contiguous copy gives the (field, y basis, x basis) layout,
+    so one product with the x basis leaves a (field, y basis, point) array.
     """
     nfields, n = c.shape[:2]
     h = n // 2
     c *= _y_weight(n, scale)  # y modes q and -q share one column
-    re, im = c.real, c.imag
-    out = np.empty((nfields, n, n))
-    rows = out.transpose(0, 2, 1)  # [field, x basis, y basis]
-    for p in (0, h):
-        rows[:, p, : h + 1] = re[:, p]
-        np.negative(im[:, p, 1:h], out=rows[:, p, h + 1 :])
-    cos_x, sin_x = rows[:, 1:h], rows[:, h + 1 :]
-    np.add(re[:, 1:h], re[:, :h:-1], out=cos_x[:, :, : h + 1])
-    np.add(im[:, 1:h, 1:h], im[:, :h:-1, 1:h], out=cos_x[:, :, h + 1 :])
-    np.negative(cos_x[:, :, h + 1 :], out=cos_x[:, :, h + 1 :])
-    np.subtract(im[:, :h:-1], im[:, 1:h], out=sin_x[:, :, : h + 1])
-    np.subtract(re[:, :h:-1, 1:h], re[:, 1:h, 1:h], out=sin_x[:, :, h + 1 :])
-    return out.reshape(nfields * n, n)
+    cp, cm = c[:, 1:h], c[:, :h:-1]  # c_p and c_-p, p = 1..h-1
+    d = np.concatenate([c[:, :1], cp + cm, c[:, h : h + 1], 1j * (cp - cm)], axis=1)
+    rows = np.concatenate([d.real, -d.imag[:, :, 1:h]], axis=2)  # [field, x basis, y basis]
+    return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(nfields * n, n)
 
 
 class Interpolator:
@@ -456,10 +452,7 @@ class Interpolator:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"interpolation points must have shape (m, 2), got points of shape "
                              f"{np.shape(points)}")
-        finite = np.isfinite(pts)
-        if not finite.all():
-            i = int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"interpolation point {i} is not finite: {pts[i]}")
+        _check_finite_points("interpolation point", pts)
         m, nf, mm = pts.shape[0], self._nfields, self.eval_n
         out = np.empty((3 if derivatives else 1, nf, m))
         # one workspace per call: a block of w points uses the leading rows * w

@@ -21,7 +21,6 @@ from .fields import (
     _derivatives,
     _read_only,
     constant_field,
-    integrate,
 )
 
 EPS_12 = 1.0  # orientation of mu against dx^dy; read only when a VolumeForm is built
@@ -34,9 +33,9 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} is not finite at lattice ({i}, {j}): {values[i, j]}")
 
 
-def _det(gs: np.ndarray) -> np.ndarray:
-    """g11 g22 - g12^2 of a (2, 2, ...) stack of symmetric values, pointwise."""
-    return gs[0, 0] * gs[1, 1] - gs[0, 1] ** 2
+def _det(a: np.ndarray) -> np.ndarray:
+    """a11 a22 - a12 a21 of a (2, 2, ...) stack, pointwise: the one 2x2 determinant."""
+    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
 
 
 def _check_positive_definite(name: str, gs: np.ndarray) -> np.ndarray:
@@ -70,9 +69,6 @@ class VolumeForm(Tensor):
         sign = EPS_12
         mu = sign * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None] * f  # f eps_ij
         vars(self).update(sign=sign, _matrix=_read_only(mu))
-
-    def total(self) -> float:
-        return integrate(self._arr)
 
     def matrix(self) -> np.ndarray:
         """mu_ij as a read-only (2, 2, n, n) array, built once."""
@@ -164,6 +160,7 @@ def project_compatible(raw: np.ndarray, mu: VolumeForm) -> Metric:
     Returns (f / sqrt(det raw)) * raw, which has determinant f^2 exactly;
     idempotent on already compatible metrics.
     """
+    raw = SymTensor2.from_stack(mu.grid, raw).stack()  # keeps raw[0, 1], as Metric.from_stack does
     det = _check_positive_definite("input tensor", raw)
     scale = mu.density.values / np.sqrt(det)
     return Metric.from_stack(mu.grid, scale * raw, volume=mu)

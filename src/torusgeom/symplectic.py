@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SymTensor2, _check_same_grid
-from .riemann import Metric, _check_finite, trace_sym2
+from .riemann import Metric, _check_finite, _det, trace_sym2
 
 TRACEFREE_TOL = 1e-10
 
@@ -87,8 +87,7 @@ def metric_path(g: Metric, h: TangentVector, t: float) -> Metric:
     ginv = g.inverse_stack()
     a = np.einsum("ikab,kjab->ijab", ginv, h.h.stack())
     # traceless 2x2: a^2 = -det(a) id with det(a) <= 0 (a is g-self-adjoint)
-    lam2 = np.maximum(-(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]), 0.0)
-    lam = np.sqrt(lam2)
+    lam = np.sqrt(np.maximum(-_det(a), 0.0))
     lt = lam * t
     ch = np.cosh(lt)
     sinhc = np.where(lam > 1e-300, np.sinh(lt) / np.where(lam > 1e-300, lam, 1.0), t)

@@ -36,12 +36,18 @@ def default_verify(tmp_path_factory):
     return proc, time.perf_counter() - t0, out
 
 
-def make_setup(grid, seed, harmonic=False):
-    """Random (g, X, h) triple; volume alternates flat/random across seeds."""
+def seeded_volume(grid, seed):
+    """The seeded density policy of suites.Point.vol at kmax 4: a random
+    density when seed % 3 == 1, else the flat one."""
     if seed % 3 == 1:
-        vol = sampling.random_volume_form(grid, seed + 300)
-    else:
-        vol = sampling.flat_volume_form(grid)
+        return sampling.random_volume_form(grid, seed + 300)
+    return sampling.flat_volume_form(grid)
+
+
+def make_setup(grid, seed, harmonic=False):
+    """Random (g, X, h) triple; volume alternates flat/random across seeds
+    (seeded_volume)."""
+    vol = seeded_volume(grid, seed)
     g = sampling.random_compatible_metric(grid, seed, volume=vol)
     h = sampling.random_tangent(g, seed + 1)
     harm = sampling.random_harmonic(seed + 5) if harmonic else (0.0, 0.0)

@@ -20,7 +20,7 @@ from torusgeom.fields import ScalarField, SymTensor2, TwoForm
 from torusgeom.riemann import l2_norm_sym2, l2_norm_vector
 from torusgeom.suites import SuiteConfig, run_suites
 
-from conftest import make_setup, pair_scale, sup
+from conftest import make_setup, pair_scale, seeded_volume, sup
 
 N = 64
 KMAX = 4
@@ -71,12 +71,7 @@ def test_criterion_03_lemma2_tensor_identity():
         res = {}
         for n in (32, 64):
             grid_n = tg.Grid(n)
-            vol = (
-                sampling.random_volume_form(grid_n, seed + 300)
-                if seed % 3 == 1
-                else sampling.flat_volume_form(grid_n)
-            )
-            g = sampling.random_compatible_metric(grid_n, seed, volume=vol)
+            g = sampling.random_compatible_metric(grid_n, seed, volume=seeded_volume(grid_n, seed))
             h = sampling.random_tangent(g, seed + 1)
             res[n] = tg.dalpha_defect(g, h).max_abs() / max(h.h.max_abs(), 1e-30)
         ratios.append(res[64] / res[32])
@@ -87,12 +82,7 @@ def test_criterion_03_lemma2_tensor_identity():
 def test_criterion_04_divergence_identity():
     worst = 0.0
     for seed in range(20):
-        vol = (
-            sampling.random_volume_form(GRID, seed + 300)
-            if seed % 3 == 1
-            else sampling.flat_volume_form(GRID)
-        )
-        g = sampling.random_compatible_metric(GRID, seed, volume=vol)
+        g = sampling.random_compatible_metric(GRID, seed, volume=seeded_volume(GRID, seed))
         y = np.stack([tg.random_band_limited(GRID, seed + k, KMAX, 0.5).values for k in (7, 8)])
         scale = max(sup(y), 1e-30)
         worst = max(worst, sup(tg.divergence_identity_defect(g, y)) / scale)

@@ -65,13 +65,13 @@ def test_divfree_flow_preserves_volume(grid):
 def test_flow_result_is_read_only_and_volume_defect_cached(grid, monkeypatch):
     vol = sampling.random_volume_form(grid, 43)
     X = tg.div_free_from_stream(sampling.random_stream(grid, 44), (0.0, 0.0), vol)
-    phi = diffeo._flow_map(X, 5e-3, 5e-3)
     built = []
     real = diffeo.Interpolator
     monkeypatch.setattr(diffeo, "Interpolator", lambda *a, **kw: built.append(1) or real(*a, **kw))
+    phi = diffeo.flow(X, 5e-3, 5e-3)
     assert phi.volume_defect() == phi.volume_defect() <= 1e-6
-    assert diffeo._certify_volume(phi) is phi  # flow's gate reads the same defect
-    assert len(built) == 1
+    # the velocity and the density: flow's gate and both calls read one defect
+    assert len(built) == 2
     for arr in (phi.forward, phi.inverse, phi.det_forward):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] += 1.0
@@ -179,7 +179,7 @@ def test_lattice_mesh_is_built_once_read_only(grid):
     pts = np.random.default_rng(4).uniform(-0.5, 1.5, (40, 2))
     disp = [tg.ScalarField(grid, c) for c in phi.forward - mesh]
     assert np.array_equal(phi.apply(pts), pts + tg.Interpolator(disp)(pts).T)
-    assert np.array_equal(phi.inverse_jacobian(), _spectral_jacobian(phi.inverse - mesh))
+    assert np.array_equal(phi.inverse_jacobian, _spectral_jacobian(phi.inverse - mesh))
     diff = phi.apply(phi.inverse.reshape(2, -1).T) - mesh.reshape(2, -1).T
     diff -= np.round(diff)
     assert phi.roundtrip_residual() == float(np.max(np.abs(diff)))
@@ -221,8 +221,8 @@ def test_pushforwards_along_one_map_build_its_inverse_jacobian_once(grid, monkey
 def test_inverse_jacobian_is_cached_read_only(grid):
     _, X, _ = make_setup(grid, 2)
     phi = tg.flow(X, 2e-2, 5e-3)
-    jac = phi.inverse_jacobian()
-    assert phi.inverse_jacobian() is jac
+    jac = phi.inverse_jacobian
+    assert phi.inverse_jacobian is jac
     assert np.array_equal(jac, _spectral_jacobian(phi.inverse - np.stack(grid.meshes())))
     with pytest.raises(ValueError, match="read-only"):
         jac[0, 0, 0, 0] += 1.0

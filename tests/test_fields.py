@@ -626,6 +626,44 @@ def _per_block_evaluation(interp, points, derivatives):
     return out if derivatives else out[0]
 
 
+def _fold_in_place(c, scale):
+    """The fold that fields._fold replaced: each block of x rows written by
+    out= into a transposed view of the (field, y basis, x basis) result."""
+    nfields, n = c.shape[:2]
+    h = n // 2
+    c *= fields._y_weight(n, scale)
+    re, im = c.real, c.imag
+    out = np.empty((nfields, n, n))
+    rows = out.transpose(0, 2, 1)
+    for p in (0, h):
+        rows[:, p, : h + 1] = re[:, p]
+        np.negative(im[:, p, 1:h], out=rows[:, p, h + 1 :])
+    cos_x, sin_x = rows[:, 1:h], rows[:, h + 1 :]
+    np.add(re[:, 1:h], re[:, :h:-1], out=cos_x[:, :, : h + 1])
+    np.add(im[:, 1:h, 1:h], im[:, :h:-1, 1:h], out=cos_x[:, :, h + 1 :])
+    np.negative(cos_x[:, :, h + 1 :], out=cos_x[:, :, h + 1 :])
+    np.subtract(im[:, :h:-1], im[:, 1:h], out=sin_x[:, :, : h + 1])
+    np.subtract(re[:, :h:-1, 1:h], re[:, 1:h, 1:h], out=sin_x[:, :, h + 1 :])
+    return out.reshape(nfields * n, n)
+
+
+def test_fold_equals_the_in_place_fold():
+    # 120 cases: random fields, zero fields and fields of y alone, whose x
+    # rows other than p = 0 are exact zeros (only the signs of zeros may differ)
+    rng = np.random.default_rng(7)
+    cases = 0
+    for n in (8, 10, 12, 16, 24, 32, 48, 64, 128, 256):
+        for nfields in (1, 2, 3, 6):
+            for samples in (rng.standard_normal((nfields, n, n)), np.zeros((nfields, n, n)),
+                            np.repeat(rng.standard_normal((nfields, 1, n)), n, axis=1)):
+                c = np.fft.rfft2(samples)
+                got = fields._fold(c.copy(), 1.0 / (n * n))
+                assert got.flags.c_contiguous and got.shape == (nfields * n, n)
+                assert np.array_equal(got, _fold_in_place(c.copy(), 1.0 / (n * n)))
+                cases += 1
+    assert cases == 120
+
+
 @pytest.mark.parametrize("derivatives", [False, True], ids=["values", "derivatives"])
 @pytest.mark.parametrize("full", [False, True], ids=["chopped", "full"])
 def test_one_workspace_evaluation_is_the_per_block_evaluation_bit_for_bit(full, derivatives):

@@ -78,6 +78,16 @@ def test_project_compatible_rejects_indefinite_with_location(grid, flat):
         tg.project_compatible(raw.stack(), flat.volume)
 
 
+def test_project_compatible_keeps_the_first_of_a_symmetric_pair(grid, flat):
+    # as Metric.from_stack does: the determinant is the kept metric's, so a
+    # raw array with raw[1, 0] != raw[0, 1] still comes out compatible
+    raw = np.zeros((2, 2, grid.n, grid.n))
+    raw[0, 0], raw[0, 1], raw[1, 0], raw[1, 1] = 2.0, 0.5, -0.5, 1.0
+    g = tg.project_compatible(raw, flat.volume)
+    assert g.compatibility_residual() <= 1e-15
+    assert np.array_equal(g.g12.values, np.full((grid.n, grid.n), 0.5 / np.sqrt(1.75)))
+
+
 def test_project_compatible_idempotent(grid):
     g = sampling.random_compatible_metric(grid, 0)
     again = tg.project_compatible(g.stack(), g.volume)
@@ -128,6 +138,7 @@ def test_scalar_curvature_closed_form_one_dim(grid):
 def test_gauss_bonnet_torus(grid, seed):
     vol = sampling.random_volume_form(grid, seed + 300) if seed % 2 else sampling.flat_volume_form(grid)
     g = sampling.random_compatible_metric(grid, seed, volume=vol)
+    assert np.array_equal(g.det_values(), g.g11.values * g.g22.values - g.g12.values**2)
     s = tg.scalar_curvature(g).values
     f = vol.density.values
     total = abs(np.mean(s * f))

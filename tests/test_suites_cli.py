@@ -199,14 +199,18 @@ def test_runner_turns_exceptions_into_failed_records(monkeypatch):
     assert len(report.records) == 10
 
 
-def test_a_raising_check_fails_once_per_point_and_hides_nothing():
-    # at N = 32 pushforward_metric's compatibility gate fires, so
-    # omega_invariance raises at every seed; the flow's own checks still run
+def test_a_raising_check_fails_once_per_point_and_hides_nothing(monkeypatch):
+    # omega_invariance raises at every seed, in the pushforward it alone calls;
+    # the flow's own checks, which share the point's cached map, still run
+    def failing(*args):
+        raise ValueError("synthetic pushforward failure")
+
+    monkeypatch.setattr(diffeo, "pushforward_tangent", failing)
     config = SuiteConfig(grid_sizes=(32,), seeds=(0, 1, 2), suites=("flow-invariance",))
     records = run_suites(config).records
     raised = [r for r in records if r.note]
     assert sorted((r.name, r.seed) for r in raised) == [("omega_invariance", s) for s in range(3)]
-    assert all(r.note.startswith("ValueError: pushforward lost compatibility") for r in raised)
+    assert all(r.note == "ValueError: synthetic pushforward failure" for r in raised)
     assert all(not r.passed and math.isnan(r.residual) for r in raised)
     reported = [r for r in records if not r.note]
     assert len(reported) == 10 and all(math.isfinite(r.residual) for r in reported)
@@ -319,7 +323,8 @@ def test_point_density_is_drawn_at_the_config_kmax():
 
 def test_flow_residuals_are_reported_past_the_volume_gate():
     # seed 1's flow loses 1.9e-4 of its volume at N = 16, over diffeo.flow's
-    # limit: the flow's own residuals report it; omega_invariance keeps the gate
+    # limit: every flow-invariance check reports a residual on that map, and
+    # diffeo.flow keeps the gate
     config = SuiteConfig.from_dict(
         {"grid_sizes": [16], "seeds": [1], "kmax": 3, "suites": ["flow-invariance"]}
     )
@@ -327,9 +332,9 @@ def test_flow_residuals_are_reported_past_the_volume_gate():
     volume = recs["flow_volume"]
     assert diffeo.FLOW_VOLUME_LIMIT < volume.residual < 3e-4
     assert not volume.passed and volume.note == ""
-    for name in ("flow_roundtrip", "pushforward_compatibility"):
+    for name in ("flow_roundtrip", "pushforward_compatibility", "omega_invariance"):
         assert math.isfinite(recs[name].residual) and recs[name].note == ""
-    assert "flow volume defect 1.923e-04 exceeds" in recs["omega_invariance"].note
+    assert not recs["omega_invariance"].passed
     with pytest.raises(ValueError, match="flow volume defect"):
         diffeo.flow(suites.SUITES["flow-invariance"](config, 1, 16).flow_field, 0.1, 5e-3)
 
@@ -519,10 +524,14 @@ def test_cli_record_off_sweep_seed_is_usage_error(tmp_path, spec):
 @pytest.mark.parametrize("n, seed", [(32, 0), (48, 1)])
 def test_pushforward_compatibility_is_a_residual_on_coarse_grids(n, seed):
     # the pushforward loses compatibility above PUSHFORWARD_COMPAT_TOL here:
-    # the check reports how far, and omega_invariance still hits the gate
+    # the check reports how far, omega_invariance reports its own residual on
+    # that metric, and pushforward_metric still holds the gate
     config = SuiteConfig(grid_sizes=(n,), seeds=(0, 1, 2), suites=("flow-invariance",))
     rec = run_suites(config, record_filter=("pushforward_compatibility", seed, n)).records[0]
     assert math.isfinite(rec.residual) and rec.residual > rec.tolerance
     assert not rec.passed and "ValueError" not in rec.note
     omega = run_suites(config, record_filter=("omega_invariance", seed, n)).records[0]
-    assert math.isnan(omega.residual) and "pushforward lost compatibility" in omega.note
+    assert math.isfinite(omega.residual) and omega.note == ""
+    point = suites.SUITES["flow-invariance"](config, seed, n)
+    with pytest.raises(ValueError, match="pushforward lost compatibility"):
+        diffeo.pushforward_metric(point.phi, point.flow_metric)
