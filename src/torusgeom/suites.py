@@ -2,14 +2,14 @@
 
 Every check is declared once, as a row (suite, name, tolerance, sweep, run)
 of the table CHECKS, by a `check` method of its suite's class: the method
-name is the record name, and the tolerance is the method's own or, when it
-declares none, the suite tolerance of its class keyword.  Tolerances are
-fixed here; no config changes them.  `sweep` lists a check's (seed, N)
-points before anything runs; `run` returns the residual, or (residual,
-note).  The runner, `--record` and SUITE_NAMES all read this table.  A
-point is the suite's class at one (seed, N), its seeded inputs cached
-properties dropped with it; points share no state.  An exception fails only
-the record that raised it; a record reruns alone to the same result.
+name is the record name, and its `@check` states the sweep and the
+tolerance.  Tolerances are fixed here; no config changes them.  `sweep`
+lists a check's (seed, N) points before anything runs; `run` returns the
+residual, or (residual, note).  The runner, `--record` and SUITE_NAMES all
+read this table.  A point is the suite's class at one (seed, N), its seeded
+inputs cached properties dropped with it; points share no state.  An
+exception fails only the record that raised it; a record reruns alone to the
+same result.  A config is checked where it is built, from Python or JSON.
 
 Seed policy: sweep suites consume config.seeds slices of documented length
 (momentum uses all seeds and switches on a harmonic part for the last 30%);
@@ -49,10 +49,11 @@ CHECKS: list[Check] = []
 SUITES: dict[str, type[Point]] = {}
 
 
-def check(sweep, tolerance: float | None = None):
-    """Declare the decorated method of a suite class as one of its checks."""
+def check(sweep, tolerance: float):
+    """Declare the decorated method of a suite class as one of its checks,
+    run at every point of `sweep` and passed when its residual is <= `tolerance`."""
     def declare(run):
-        run.declared = (sweep, tolerance)
+        run.declared = (tolerance, sweep)
         return run
 
     return declare
@@ -61,13 +62,11 @@ def check(sweep, tolerance: float | None = None):
 class Point:
     """The seeded inputs of one (seed, N) of a suite's sweep, built when first read."""
 
-    def __init_subclass__(cls, suite: str, tolerance: float | None = None):
-        cls.suite, cls.tolerance = suite, tolerance
+    def __init_subclass__(cls, suite: str):
         SUITES[suite] = cls
         for name, run in vars(cls).items():
             if hasattr(run, "declared"):
-                sweep, tol = run.declared
-                CHECKS.append(Check(suite, name, tolerance if tol is None else tol, sweep, run))
+                CHECKS.append(Check(suite, name, *run.declared, run))
 
     def __init__(self, config: SuiteConfig, seed: int, n: int):
         self.config, self.seed, self.n = config, seed, n
@@ -152,13 +151,13 @@ def finest_of_several(config):
     return desk(3)(config) if len(config.grid_sizes) > 1 else []
 
 
-class Calculus(Point, suite="calculus", tolerance=1e-11):
+class Calculus(Point, suite="calculus"):
     @cached_property
     def f(self):
         """A band-limited field twice as wide as kmax."""
         return fields.random_band_limited(self.grid, self.seed, min(self.kmax * 2, self.n // 4 - 1), 0.6)
 
-    @check(desk(3))
+    @check(desk(3), tolerance=1e-11)
     def partial_commute(self):
         d12 = fields.partial(fields.partial(self.f, 1), 2)
         d21 = fields.partial(fields.partial(self.f, 2), 1)
@@ -168,7 +167,7 @@ class Calculus(Point, suite="calculus", tolerance=1e-11):
     def integrate_no_boundary(self):
         return abs(fields.integrate(fields.partial(self.f, 1).values))
 
-    @check(desk(3))
+    @check(desk(3), tolerance=1e-11)
     def parseval(self):
         coef = np.fft.fft2(self.f.values) / self.n**2
         return abs(fields.integrate(self.f.values * self.f.values) - float(np.sum(np.abs(coef) ** 2)))
@@ -191,7 +190,7 @@ class Calculus(Point, suite="calculus", tolerance=1e-11):
         return abs(fields.integrate(sine.values))
 
 
-class Riemannian(Point, suite="riemannian", tolerance=1e-9):
+class Riemannian(Point, suite="riemannian"):
     @cached_property
     def lin(self):
         """The linearized scalar curvature of g along h."""
@@ -205,21 +204,21 @@ class Riemannian(Point, suite="riemannian", tolerance=1e-9):
     def compatibility(self):
         return self.g.compatibility_residual()
 
-    @check(desk(10))
+    @check(desk(10), tolerance=1e-9)
     def metricity(self):
         return riemann.metricity_residual(self.g) / max(float(np.max(np.abs(self.g.stack()))), 1e-30)
 
-    @check(desk(10))
+    @check(desk(10), tolerance=1e-9)
     def ricci_relation(self):
         return riemann.ricci_relation_residual(self.g)
 
-    @check(desk(10))
+    @check(desk(10), tolerance=1e-9)
     def gauss_bonnet(self):
         s = riemann.scalar_curvature(self.g)
         f = self.g.volume.density.values
         return abs(np.mean(s.values * f)) / max(float(np.mean(np.abs(s.values) * f)), 1e-30)
 
-    @check(desk(10))
+    @check(desk(10), tolerance=1e-9)
     def linearized_s_tracefree_reduction(self):
         divdiv = riemann.double_divergence(self.h.h, self.g)
         return float(np.max(np.abs(self.lin.values - divdiv)))
@@ -339,7 +338,7 @@ def _asymptotic_order(errs) -> float:
 PAST_TRACE_GATE = math.inf
 
 
-class Lemma1(Point, suite="lemma1", tolerance=1e-8):
+class Lemma1(Point, suite="lemma1"):
     SEEDS = 20  # every check sweeps the first SEEDS configured seeds
 
     @cached_property
@@ -347,7 +346,7 @@ class Lemma1(Point, suite="lemma1", tolerance=1e-8):
         """X, with its harmonic part in the last 30% of the first SEEDS seeds."""
         return self.X_harmonic if self.in_harmonic_tail(self.config.seeds[:self.SEEDS]) else self.X
 
-    @check(desk(SEEDS))
+    @check(desk(SEEDS), tolerance=1e-8)
     def lemma1_equality(self):
         return self.lemma1_defect(self.field)
 
@@ -365,8 +364,8 @@ class Lemma1(Point, suite="lemma1", tolerance=1e-8):
         return riemann.trace_sym2(riemann.metric_lie_derivative(self.field.vector, self.g), self.g).max_abs()
 
 
-class Lemma2(Point, suite="lemma2", tolerance=1e-8):
-    @check(desk(10))
+class Lemma2(Point, suite="lemma2"):
+    @check(desk(10), tolerance=1e-8)
     def dalpha_identity(self):
         return self.dalpha
 
@@ -411,8 +410,8 @@ class Lemma2(Point, suite="lemma2", tolerance=1e-8):
         return max(0.0, 2.0 - order), note
 
 
-class Momentum(Point, suite="momentum", tolerance=1e-8):
-    @check(desk())
+class Momentum(Point, suite="momentum"):
+    @check(desk(), tolerance=1e-8)
     def momentum_residual(self):
         harmonic = self.in_harmonic_tail(self.config.seeds)
         X = self.X_harmonic if harmonic else self.X
@@ -483,7 +482,7 @@ def _class_gap(c1, c2):
     )
 
 
-class Kobayashi(Point, suite="kobayashi", tolerance=1e-12):
+class Kobayashi(Point, suite="kobayashi"):
     @cached_property
     def classes(self):
         """Three constant-curvature classes on the flat density, drawn from the seed."""
@@ -500,24 +499,24 @@ class Kobayashi(Point, suite="kobayashi", tolerance=1e-12):
     def e(self):
         return bundles.identity_class(self.grid)
 
-    @check(desk(5))
+    @check(desk(5), tolerance=1e-12)
     def identity_element(self):
         c = self.classes
         return _class_gap(bundles.kobayashi_add(c[0], self.e), c[0])
 
-    @check(desk(5))
+    @check(desk(5), tolerance=1e-12)
     def inverse_element(self):
         c = self.classes
         return _class_gap(bundles.kobayashi_add(c[0], bundles.kobayashi_neg(c[0])), self.e)
 
-    @check(desk(5))
+    @check(desk(5), tolerance=1e-12)
     def associativity(self):
         c = self.classes
         left = bundles.kobayashi_add(bundles.kobayashi_add(c[0], c[1]), c[2])
         right = bundles.kobayashi_add(c[0], bundles.kobayashi_add(c[1], c[2]))
         return _class_gap(left, right)
 
-    @check(desk(5))
+    @check(desk(5), tolerance=1e-12)
     def commutativity(self):
         c = self.classes
         return _class_gap(bundles.kobayashi_add(c[0], c[1]), bundles.kobayashi_add(c[1], c[0]))
@@ -528,7 +527,7 @@ class Kobayashi(Point, suite="kobayashi", tolerance=1e-12):
         return abs(fields.integrate(s.curvature.stack()) - 2 * math.pi * s.chern)
 
 
-class FlowInvariance(Point, suite="flow-invariance", tolerance=1e-5):
+class FlowInvariance(Point, suite="flow-invariance"):
     @cached_property
     def phi(self):
         """The flow before diffeo.flow's volume gate: flow_volume,
@@ -557,7 +556,7 @@ class FlowInvariance(Point, suite="flow-invariance", tolerance=1e-5):
     def pushforward_compatibility(self):
         return self.pushed_metric.compatibility_residual()
 
-    @check(desk(3))
+    @check(desk(3), tolerance=1e-5)
     def omega_invariance(self):
         g, gp = self.flow_metric, self.pushed_metric
         h1 = sampling.random_tangent(g, self.seed + 21, kmax=self.kmax)
@@ -576,17 +575,20 @@ class FlowInvariance(Point, suite="flow-invariance", tolerance=1e-5):
         return float(np.max(np.abs(phi.forward - target)))
 
 
+# The largest ratio of a convergence residual to its value at the previous N
+# that counts as spectral decay: dalpha_ratio's tolerance and the CSV's flag.
+DALPHA_RATIO_TOL = 1e-2
 # Roundoff level of a normalised convergence residual (1e-12 to 5e-12 for
 # d(alpha) at N=128).  A ratio res/prev is noise when res is at this level and
-# prev is too small for a drop by the ratio tolerance to land above it.
+# prev is too small for a drop by DALPHA_RATIO_TOL to land above it.
 ROUNDOFF_FLOOR = 1e-11
 
 
-def _at_floor(res: float, prev: float, tol_ratio: float) -> bool:
-    return res <= ROUNDOFF_FLOOR and prev <= ROUNDOFF_FLOOR / tol_ratio
+def _at_floor(res: float, prev: float) -> bool:
+    return res <= ROUNDOFF_FLOOR and prev <= ROUNDOFF_FLOOR / DALPHA_RATIO_TOL
 
 
-class Convergence(Point, suite="convergence", tolerance=1e-2):
+class Convergence(Point, suite="convergence"):
     def dalpha_at(self, n: int) -> float:
         """The seed's dalpha at size n, from a point of its own at another size."""
         return (self if n == self.n else Convergence(self.config, self.seed, n)).dalpha
@@ -599,12 +601,12 @@ class Convergence(Point, suite="convergence", tolerance=1e-2):
     def lemma1_residual(self):
         return self.lemma1_defect(self.X), "informational; quadrature-floor dominated"
 
-    @check(finest_of_several)
+    @check(finest_of_several, tolerance=DALPHA_RATIO_TOL)
     def dalpha_ratio(self):
         lo = min(self.config.grid_sizes)
         r_lo, r_hi = self.dalpha_at(lo), self.dalpha_at(self.n)
         note = f"N={lo} -> N={self.n}"
-        if _at_floor(r_hi, r_lo, self.tolerance):
+        if _at_floor(r_hi, r_lo):
             note += f"; residuals {r_lo:.2e}, {r_hi:.2e} at floor {ROUNDOFF_FLOOR:.0e}"
             return 0.0, note  # resolved at both sizes; the ratio would be noise
         return r_hi / max(r_lo, 1e-300), note
@@ -615,12 +617,20 @@ SUITE_NAMES = tuple(SUITES)
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """What a run covers, checked when built from Python or JSON: each field's type
+    first, never coerced (a list is stored as a tuple), then its values."""
     grid_sizes: tuple[int, ...] = (32, 48, 64)
     seeds: tuple[int, ...] = tuple(range(50))
     kmax: int = 4
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
+        for key, (accepts, kind) in _FIELDS.items():
+            value = getattr(self, key)
+            if not accepts(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, key, tuple(value))
         if not self.grid_sizes or any(n < 8 or n % 2 for n in self.grid_sizes):
             raise ValueError(f"grid_sizes must be even and >= 8, got {self.grid_sizes}")
         if len(set(self.grid_sizes)) != len(self.grid_sizes):
@@ -651,18 +661,13 @@ class SuiteConfig:
     def from_dict(cls, data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValueError("config root must be a JSON object")
-        values = {}
-        for key, value in data.items():
+        for key in data:
             if key not in _FIELDS:
                 raise ValueError(f"unknown config field '{key}'; valid: {sorted(_FIELDS)}")
-            accepts, kind, read, _ = _FIELDS[key]
-            if not accepts(value):
-                raise ValueError(f"{key} must be {kind}, got {value!r}")
-            values[key] = read(value)
-        return cls(**values)
+        return cls(**data)
 
     def echo(self) -> dict:
-        return {key: write(getattr(self, key)) for key, (*_, write) in _FIELDS.items()}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
 
 def _integer(value) -> bool:
@@ -670,16 +675,15 @@ def _integer(value) -> bool:
 
 
 def _list_of(item):
-    return lambda value: isinstance(value, list) and all(item(v) for v in value)
+    return lambda value: isinstance(value, (list, tuple)) and all(item(v) for v in value)
 
 
-# every config field, in report order: (whether a JSON value is accepted, what
-# is accepted, read it from JSON, write it back to JSON)
+# every config field: (whether a value is accepted, what is accepted)
 _FIELDS = {
-    "grid_sizes": (_list_of(_integer), "a list of integers", tuple, list),
-    "seeds": (_list_of(_integer), "a list of integers", tuple, list),
-    "kmax": (_integer, "an integer", int, int),
-    "suites": (_list_of(lambda s: isinstance(s, str)), "a list of strings", tuple, list),
+    "grid_sizes": (_list_of(_integer), "a list of integers"),
+    "seeds": (_list_of(_integer), "a list of integers"),
+    "kmax": (_integer, "an integer"),
+    "suites": (_list_of(lambda s: isinstance(s, str)), "a list of strings"),
 }
 
 
@@ -719,14 +723,6 @@ def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:
             for key in c.sweep(config):
                 points.setdefault(key, []).append(c)
     return points
-
-
-def _run_suite(config: SuiteConfig, suite: str) -> list[CheckResult]:
-    records = []
-    for (seed, n), checks in plan(config, suite).items():
-        point = SUITES[suite](config, seed, n)
-        records += [_run(c, point) for c in checks]
-    return records
 
 
 def _run_record(config: SuiteConfig, name: str, seed: int, n: int) -> CheckResult:
@@ -769,7 +765,11 @@ def run_suites(config: SuiteConfig, record_filter: tuple[str, int, int] | None =
     """Execute the configured suites, or the one record (name, seed, N) of a check."""
     t0 = time.perf_counter()
     if record_filter is None:
-        records = [rec for suite in config.suites for rec in _run_suite(config, suite)]
+        records = []
+        for suite in config.suites:
+            for (seed, n), checks in plan(config, suite).items():
+                point = SUITES[suite](config, seed, n)
+                records += [_run(c, point) for c in checks]
     else:
         records = [_run_record(config, *record_filter)]
     return SuiteReport(config, records, time.perf_counter() - t0)
@@ -787,7 +787,6 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
     recs = [r for r in report.records if r.suite == "convergence" and r.name != "dalpha_ratio"]
     if not recs:
         return rows[0] + "\n", "no convergence records in report; table is empty"
-    tol_ratio = Convergence.tolerance
     by_check: dict = {}
     for r in recs:
         by_check.setdefault(r.name, {}).setdefault(r.n, []).append(r.residual)
@@ -800,9 +799,9 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
             else:
                 ratio_val = res / max(prev, 1e-300)
                 ratio = f"{ratio_val:.6e}"
-                if _at_floor(res, prev, tol_ratio):
+                if _at_floor(res, prev):
                     flag = "floor"
-                elif ratio_val <= tol_ratio:
+                elif ratio_val <= DALPHA_RATIO_TOL:
                     flag = "spectral"
                 elif ratio_val < 1.0:
                     flag = "decaying"

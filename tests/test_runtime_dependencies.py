@@ -3,6 +3,8 @@ the standard library, numpy and its own package, and pyproject.toml declares
 numpy alone."""
 
 import ast
+import os
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -46,3 +48,14 @@ def test_the_import_scan_sees_a_third_party_import():
 def test_pyproject_declares_numpy_as_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=2.0"]
+
+
+def test_the_benchmark_imports_leave_the_verify_layer_unloaded():
+    # perfbench imports these modules; as long as none of them loads `suites`
+    # or `cli`, a change to the verify layer cannot move a benchmark figure
+    code = ("import sys, torusgeom\n"
+            "from torusgeom import bundles, diffeo, fields, riemann, sampling, symplectic\n"
+            "print(sorted(m for m in ('torusgeom.suites', 'torusgeom.cli') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

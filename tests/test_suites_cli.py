@@ -151,6 +151,27 @@ def test_cli_malformed_config_field_is_a_config_error(tmp_path, capsys, data, me
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        *MALFORMED_FIELDS,
+        ({"kmax": 4.5}, "kmax must be an integer"),
+        ({"grid_sizes": (32.0,)}, "grid_sizes must be a list of integers"),
+        ({"seeds": (0.5,)}, "seeds must be a list of integers"),
+    ],
+    ids=[*MALFORMED_IDS, "kmax-float", "grid-float-tuple", "seeds-float-tuple"],
+)
+def test_config_built_in_python_is_checked_like_json(data, message):
+    with pytest.raises(ValueError, match=message):
+        SuiteConfig(**data)
+
+
+def test_config_stores_a_list_as_a_tuple_and_hashes():
+    config = SuiteConfig(seeds=[1, 2])
+    assert config.seeds == (1, 2)
+    assert hash(config) == hash(SuiteConfig(seeds=(1, 2)))
+
+
 def test_config_echo_reads_back_to_the_same_config():
     config = SuiteConfig.from_dict(SMALL)
     echo = config.echo()
@@ -195,7 +216,7 @@ def test_runner_turns_exceptions_into_failed_records(monkeypatch):
     assert [(r.name, r.seed) for r in failed] == [("associativity", 0), ("associativity", 1)]
     for r in failed:
         assert r.note == "RuntimeError: synthetic blow-up"
-        assert r.tolerance == 1e-12 and math.isnan(r.residual)  # the suite tolerance
+        assert r.tolerance == 1e-12 and math.isnan(r.residual)  # the tolerance its @check states
     assert len(report.records) == 10
 
 
