@@ -61,10 +61,6 @@ PANEL_NODES = 24
 PANEL_LENGTH = 0.25
 
 
-def _canon_angle(theta: float) -> float:
-    return float(theta % TWO_PI)
-
-
 @dataclass(frozen=True, eq=False)
 class Loop:
     """Closed polyline on the torus in lifted coordinates.
@@ -134,8 +130,8 @@ class CircleBundleClass:
     chern: int
 
     def __post_init__(self):
-        object.__setattr__(self, "holA", _canon_angle(self.holA))
-        object.__setattr__(self, "holB", _canon_angle(self.holB))
+        object.__setattr__(self, "holA", float(self.holA % TWO_PI))
+        object.__setattr__(self, "holB", float(self.holB % TWO_PI))
         total = integrate(self.curvature.stack())
         if abs(total - TWO_PI * self.chern) > QUANTIZATION_TOL:
             raise ValueError(

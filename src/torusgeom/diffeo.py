@@ -30,6 +30,7 @@ from .riemann import (
     VolumeForm,
     _check_finite,
     _det,
+    complex_structure,
     cov_deriv_vector,
     divergence_sym2,
     metric_lie_derivative,
@@ -128,10 +129,9 @@ def lemma1_rhs(g: Metric, X: DivFreeField, h: TangentVector) -> float:
 
 
 def skew_defect_mu_h(g: Metric, h: TangentVector) -> float:
-    """sup of the antisymmetric part of mu_ik h^k_j (zero for trace-free h)."""
-    mixed = np.einsum(
-        "ikab,klab,ljab->ijab", g.volume.matrix(), g.inverse_stack(), h.h.stack()
-    )
+    """sup of the antisymmetric part of mu_ik h^k_j = (I^T h)_ij, I the
+    complex_structure (zero for trace-free h)."""
+    mixed = np.einsum("kiab,kjab->ijab", complex_structure(g), h.h.stack())
     return float(np.max(np.abs(mixed[0, 1] - mixed[1, 0])))
 
 
@@ -333,4 +333,4 @@ def pushforward_tangent(
 ) -> TangentVector:
     """Push a tangent tensor forward and re-project trace-free at phi_* g."""
     arr = _pushforward_sym2_stack(phi, [h.h.c11, h.h.c12, h.h.c22])
-    return tracefree_project(SymTensor2.from_stack(phi.grid, arr), g_push)
+    return tracefree_project(arr, g_push)

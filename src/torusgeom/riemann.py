@@ -279,10 +279,9 @@ def divergence_vector(Y: np.ndarray, g: Metric) -> ScalarField:
     return ScalarField(g.grid, div)
 
 
-def trace_sym2(h: SymTensor2, g: Metric) -> ScalarField:
-    """g^{ij} h_ij."""
-    tr = np.einsum("ijab,ijab->ab", g.inverse_stack(), h.stack())
-    return ScalarField(g.grid, tr)
+def trace_sym2(h: np.ndarray, g: Metric) -> np.ndarray:
+    """g^{ij} h_ij of a (2, 2, n, n) array h_ij, as a read-only (n, n) array."""
+    return _read_only(np.einsum("ijab,ijab->ab", g.inverse_stack(), h))
 
 
 def raise_sym2(h: SymTensor2, g: Metric) -> np.ndarray:
@@ -339,12 +338,13 @@ def complex_structure(g: Metric) -> np.ndarray:
     return _read_only(-np.einsum("ikab,kjab->ijab", g.inverse_stack(), g.volume.matrix()))
 
 
-def laplace_beltrami(u: ScalarField, g: Metric) -> ScalarField:
-    """Analyst's Laplace-Beltrami operator (negative spectrum on the torus)."""
+def laplace_beltrami(u: np.ndarray, g: Metric) -> np.ndarray:
+    """Analyst's Laplace-Beltrami operator (negative spectrum on the torus) of
+    an (n, n) array u, as a read-only (n, n) array."""
     f = g.volume.density.values
-    w = np.einsum("ijab,jab->iab", g.inverse_stack(), _derivatives(u.values))
+    w = np.einsum("ijab,jab->iab", g.inverse_stack(), _derivatives(u))
     div = _derivatives(f * w, summed=True)
-    return ScalarField(g.grid, div / f)
+    return _read_only(div / f)
 
 
 def metric_lie_derivative(X: VectorField, g: Metric) -> SymTensor2:
@@ -377,7 +377,6 @@ def linearized_scalar_curvature(g: Metric, h: SymTensor2) -> ScalarField:
     analyst's Laplacian; for g-trace-free h it reduces to the double
     divergence alone (the Ricci term is pure trace in 2D).
     """
-    tr = trace_sym2(h, g)
-    lap_tr = laplace_beltrami(tr, g)
+    lap_tr = laplace_beltrami(trace_sym2(h.stack(), g), g)
     ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), raise_sym2(h, g))
-    return ScalarField(g.grid, -lap_tr.values + double_divergence(h, g) - ric_h)
+    return ScalarField(g.grid, -lap_tr + double_divergence(h, g) - ric_h)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, ScalarField, SymTensor2, _read_only, random_band_limited
+from .fields import Grid, ScalarField, _read_only, random_band_limited
 from .riemann import Metric, VolumeForm, flat_volume_form, project_compatible
 from .symplectic import TangentVector, tracefree_project
 
@@ -41,9 +41,11 @@ def random_volume_form(grid: Grid, seed: int, kmax: int = 4) -> VolumeForm:
     return VolumeForm(ScalarField(grid, np.exp(0.08 * u.values)))
 
 
-def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) -> SymTensor2:
-    c = (random_band_limited(grid, _child_seed(seed, t), kmax, DECAY).values for t in (11, 12, 22))
-    return SymTensor2(*(ScalarField(grid, amp * v) for v in c))
+def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) -> np.ndarray:
+    """Components h_ij of a random symmetric 2-tensor, a read-only (2, 2, n, n) array."""
+    c11, c12, c22 = (amp * random_band_limited(grid, _child_seed(seed, t), kmax, DECAY).values
+                     for t in (11, 12, 22))
+    return _read_only(np.array([[c11, c12], [c12, c22]]))
 
 
 def random_compatible_metric(
@@ -53,7 +55,7 @@ def random_compatible_metric(
     if volume is None:
         volume = flat_volume_form(grid)
     a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, 0.1)
-    return project_compatible(_expm_sym2(a.stack()), volume)
+    return project_compatible(_expm_sym2(a), volume)
 
 
 def random_tangent(g: Metric, seed: int, kmax: int = 4) -> TangentVector:

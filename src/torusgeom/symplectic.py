@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SymTensor2, _check_same_grid
-from .riemann import Metric, _check_finite, _det, trace_sym2
+from .riemann import Metric, _check_finite, _det, complex_structure, trace_sym2
 
 TRACEFREE_TOL = 1e-10
 
@@ -36,7 +36,7 @@ class TangentVector:
             for name in ("c11", "c12", "c22"):
                 _check_finite(f"tangent vector {name}", getattr(self.h, name).values)
         if scale > 0.0:
-            tr = trace_sym2(self.h, self.base).max_abs()
+            tr = float(np.max(np.abs(trace_sym2(self.h.stack(), self.base))))
             if tr > self.tol * scale:
                 raise ValueError(
                     f"tensor is not g-trace-free: sup|tr| = {tr:.3e} "
@@ -49,31 +49,29 @@ def _require_same_base(g: Metric, tv: TangentVector):
         raise ValueError("tangent vector is based at a different metric")
 
 
-def tracefree_project(h_raw: SymTensor2, g: Metric) -> TangentVector:
-    """Remove the g-trace part: h = h_raw - (tr_g h_raw / 2) g; idempotent."""
-    ginv = g.inverse_stack()
+def tracefree_project(h_raw: np.ndarray, g: Metric) -> TangentVector:
+    """Remove the g-trace part of a symmetric (2, 2, n, n) array h_raw:
+    h = h_raw - (tr_g h_raw / 2) g; idempotent."""
     gs = g.stack()
-    proj = h_raw.stack()
+    proj = h_raw
     # applied twice: the second pass removes the roundoff trace left when the
     # input is dominated by its pure-trace part
     for _ in range(2):
-        tr = np.einsum("ijab,ijab->ab", ginv, proj)
-        proj = proj - 0.5 * tr * gs
+        proj = proj - 0.5 * trace_sym2(proj, g) * gs
     return TangentVector(g, SymTensor2.from_stack(g.grid, proj))
 
 
 def omega(g: Metric, h1: TangentVector, h2: TangentVector) -> float:
-    """Symplectic pairing -1/2 int (h1)^i_j mu^j_k (h2)^k_i mu, raising by g."""
+    """Symplectic pairing -1/2 int (h1)^i_j mu^j_k (h2)^k_i mu, raising by g:
+    1/2 int tr(a1 I a2) mu with a = g^-1 h and I = -g^-1 mu, complex_structure."""
     _require_same_base(g, h1)
     _require_same_base(g, h2)
     ginv = g.inverse_stack()
-    mu = g.volume.matrix()
     a1 = np.einsum("ikab,kjab->ijab", ginv, h1.h.stack())
-    m = np.einsum("ikab,kjab->ijab", ginv, mu)
     a2 = np.einsum("ikab,kjab->ijab", ginv, h2.h.stack())
-    integrand = np.einsum("ijab,jkab,kiab->ab", a1, m, a2)
+    integrand = np.einsum("ijab,jkab,kiab->ab", a1, complex_structure(g), a2)
     f = g.volume.density.values
-    return float(-0.5 * np.mean(integrand * f))
+    return float(0.5 * np.mean(integrand * f))
 
 
 def metric_path(g: Metric, h: TangentVector, t: float) -> Metric:
@@ -130,7 +128,7 @@ def closedness_defect(
     fields = [h1, h2, h3]
 
     def extend(i: int, gp: Metric) -> TangentVector:
-        return tracefree_project(fields[i].h, gp)
+        return tracefree_project(fields[i].h.stack(), gp)
 
     # along h_i: rate[i] is d/dt form(h_j, h_k), push[i, j] the raw components
     # of d/dt of the extension of h_j
@@ -145,7 +143,7 @@ def closedness_defect(
         rate[i], push[i, j], push[i, k] = path_central(at, g, extend(i, g), eps)
 
     def bracket(i: int, j: int) -> TangentVector:
-        return tracefree_project(SymTensor2.from_stack(g.grid, push[i, j] - push[j, i]), g)
+        return tracefree_project(push[i, j] - push[j, i], g)
 
     d = (
         rate[0]
@@ -159,7 +157,8 @@ def closedness_defect(
 
 
 def nondegeneracy_witness(g: Metric, h: TangentVector) -> tuple[TangentVector, float]:
-    """Partner h' = sym(mu_ik g^{kl} h_lj) and the strictly positive Omega(h, h').
+    """Partner h' = sym(mu_ik g^{kl} h_lj) = sym(I^T h), with I the
+    complex_structure, and the strictly positive Omega(h, h').
 
     Pointwise 2x2 algebra gives Omega(h, h') = 1/2 int |h|_g^2 mu exactly, so
     the witness is bounded below by half the squared L2 norm.
@@ -167,8 +166,7 @@ def nondegeneracy_witness(g: Metric, h: TangentVector) -> tuple[TangentVector, f
     _require_same_base(g, h)
     if h.h.max_abs() == 0.0:
         raise ValueError("nondegeneracy witness needs a nonzero tangent vector")
-    mu = g.volume.matrix()
-    rot = np.einsum("ikab,klab,ljab->ijab", mu, g.inverse_stack(), h.h.stack())
+    rot = np.einsum("kiab,kjab->ijab", complex_structure(g), h.h.stack())
     sym = 0.5 * (rot + rot.transpose(1, 0, 2, 3))
     partner = TangentVector(g, SymTensor2.from_stack(g.grid, sym))
     return partner, omega(g, h, partner)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -61,3 +62,17 @@ def pair_scale(g, X, h):
 
 def sup(arr):
     return float(np.max(np.abs(arr)))
+
+
+def class_gap(c1, c2):
+    """Distance of two circle-bundle classes: the curvature sup, each holonomy
+    angle mod 2 pi and the Chern integers."""
+    def angle_gap(x, y):
+        return abs((x - y + math.pi) % (2 * math.pi) - math.pi)
+
+    return max(
+        sup(c1.curvature.c12.values - c2.curvature.c12.values),
+        angle_gap(c1.holA, c2.holA),
+        angle_gap(c1.holB, c2.holB),
+        float(abs(c1.chern - c2.chern)),
+    )

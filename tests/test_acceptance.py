@@ -20,7 +20,8 @@ from torusgeom.fields import ScalarField, SymTensor2, TwoForm
 from torusgeom.riemann import l2_norm_sym2, l2_norm_vector
 from torusgeom.suites import SuiteConfig, run_suites
 
-from conftest import make_setup, pair_scale, seeded_volume, sup
+import golden_check
+from conftest import class_gap, make_setup, pair_scale, seeded_volume, sup
 
 N = 64
 KMAX = 4
@@ -181,17 +182,6 @@ def test_criterion_09_holonomy_log_derivative():
 def test_criterion_10_kobayashi_group():
     from torusgeom.bundles import constant_curvature_class, identity_class, kobayashi_add, kobayashi_neg
 
-    def angle_gap(x, y):
-        return abs((x - y + math.pi) % (2 * math.pi) - math.pi)
-
-    def class_gap(c1, c2):
-        return max(
-            sup(c1.curvature.c12.values - c2.curvature.c12.values),
-            angle_gap(c1.holA, c2.holA),
-            angle_gap(c1.holB, c2.holB),
-            float(abs(c1.chern - c2.chern)),
-        )
-
     vol = sampling.flat_volume_form(GRID)
     e = identity_class(GRID)
     worst = 0.0
@@ -283,7 +273,7 @@ def test_criterion_13_fundamental_vector_tracefree():
     for seed in range(20):
         g, X, _ = make_setup(GRID, seed, harmonic=seed % 2 == 0)
         fv = tg.fundamental_vector(X, g)
-        worst = max(worst, tg.trace_sym2(fv.h, g).max_abs())
+        worst = max(worst, sup(tg.trace_sym2(fv.h.stack(), g)))
     assert worst <= 1e-10
     report(13, "-L_X g is g-trace-free on 20 seeds", worst, 1e-10)
 
@@ -307,12 +297,7 @@ def test_criterion_14_cli_contract(tmp_path, default_verify):
     assert p1.returncode == 0 and p2.returncode == 0
 
     def strip(path):
-        body = json.loads(path.read_text())
-        body.pop("generated_at")
-        body["summary"].pop("wall_time")
-        for rec in body["records"]:
-            rec.pop("wall_time")
-        return json.dumps(body, sort_keys=True)
+        return json.dumps(golden_check.strip(json.loads(path.read_text())), sort_keys=True)
 
     assert strip(tmp_path / "r1.json") == strip(tmp_path / "r2.json")
 

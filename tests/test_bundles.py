@@ -20,9 +20,9 @@ from torusgeom.bundles import (
     kobayashi_neg,
     loop_integral_oneform,
 )
-from torusgeom.fields import Interpolator, ScalarField, SymTensor2, TwoForm, VectorField
+from torusgeom.fields import Interpolator, ScalarField, TwoForm, VectorField
 
-from conftest import make_setup, pair_scale, seeded_volume, sup
+from conftest import class_gap, make_setup, pair_scale, seeded_volume, sup
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,21 +89,14 @@ def test_a_repeated_vertex_adds_nothing_to_the_transport(grid):
 
 def test_alpha_of_zero_direction(grid):
     g = sampling.random_compatible_metric(grid, 0)
-    zero = tg.tracefree_project(
-        SymTensor2(*(tg.constant_field(grid, 0.0) for _ in range(3))), g
-    )
+    zero = tg.tracefree_project(np.zeros((2, 2, grid.n, grid.n)), g)
     alpha = tg.connection_alpha(g, zero)
     assert sup(alpha) == 0.0
 
 
 def test_alpha_of_covariantly_constant_direction(grid, flat):
     h = tg.tracefree_project(
-        SymTensor2(
-            tg.constant_field(grid, 1.0),
-            tg.constant_field(grid, 0.3),
-            tg.constant_field(grid, -1.0),
-        ),
-        flat,
+        np.array([[1.0, 0.3], [0.3, -1.0]])[:, :, None, None] * np.ones((grid.n, grid.n)), flat
     )
     assert sup(tg.connection_alpha(flat, h)) <= 1e-13
 
@@ -353,19 +346,6 @@ def test_canonical_one_dim_holonomy_oracle(grid):
 # ------------------------------------------------------------ group law
 
 
-def _angle_gap(x, y):
-    return abs((x - y + math.pi) % TWO_PI - math.pi)
-
-
-def _class_gap(c1, c2):
-    return max(
-        sup(c1.curvature.c12.values - c2.curvature.c12.values),
-        _angle_gap(c1.holA, c2.holA),
-        _angle_gap(c1.holB, c2.holB),
-        float(abs(c1.chern - c2.chern)),
-    )
-
-
 @given(
     chern=st.integers(min_value=-5, max_value=5),
     hol_a=st.floats(0.0, TWO_PI, exclude_max=True),
@@ -377,8 +357,8 @@ def test_kobayashi_identity_and_inverse(chern, hol_a, hol_b):
     vol = sampling.flat_volume_form(grid)
     c = constant_curvature_class(vol, chern, hol_a, hol_b)
     e = identity_class(grid)
-    assert _class_gap(kobayashi_add(c, e), c) <= 1e-12
-    assert _class_gap(kobayashi_add(c, kobayashi_neg(c)), e) <= 1e-12
+    assert class_gap(kobayashi_add(c, e), c) <= 1e-12
+    assert class_gap(kobayashi_add(c, kobayashi_neg(c)), e) <= 1e-12
 
 
 @given(
@@ -395,8 +375,8 @@ def test_kobayashi_associative_commutative(angles, cherns):
     ]
     left = kobayashi_add(kobayashi_add(cs[0], cs[1]), cs[2])
     right = kobayashi_add(cs[0], kobayashi_add(cs[1], cs[2]))
-    assert _class_gap(left, right) <= 1e-12
-    assert _class_gap(kobayashi_add(cs[0], cs[1]), kobayashi_add(cs[1], cs[0])) <= 1e-12
+    assert class_gap(left, right) <= 1e-12
+    assert class_gap(kobayashi_add(cs[0], cs[1]), kobayashi_add(cs[1], cs[0])) <= 1e-12
 
 
 def test_kobayashi_rejects_grid_mismatch():
@@ -420,9 +400,7 @@ def test_momentum_residual_zero_inputs(grid):
     zero_x = tg.div_free_from_stream(tg.constant_field(grid, 0.0), (0.0, 0.0), g.volume)
     h = sampling.random_tangent(g, 4)
     assert tg.momentum_residual(g, zero_x, h) == 0.0
-    zero_h = tg.tracefree_project(
-        SymTensor2(*(tg.constant_field(grid, 0.0) for _ in range(3))), g
-    )
+    zero_h = tg.tracefree_project(np.zeros((2, 2, grid.n, grid.n)), g)
     x = tg.div_free_from_stream(sampling.random_stream(grid, 5), (0.1, 0.2), g.volume)
     assert tg.momentum_residual(g, x, zero_h) == 0.0
 
@@ -456,9 +434,7 @@ def test_momentum_residual_random(grid, seed):
 
 def test_holonomy_derivative_zero_direction(grid):
     g = sampling.random_compatible_metric(grid, 7)
-    zero_h = tg.tracefree_project(
-        SymTensor2(*(tg.constant_field(grid, 0.0) for _ in range(3))), g
-    )
+    zero_h = tg.tracefree_project(np.zeros((2, 2, grid.n, grid.n)), g)
     fd, line = holonomy_derivative_check(g, zero_h, Loop.square((0.4, 0.4), 0.3), 1e-4)
     assert abs(fd) <= 1e-12
     assert abs(line) <= 1e-12
@@ -466,12 +442,7 @@ def test_holonomy_derivative_zero_direction(grid):
 
 def test_holonomy_derivative_flat_constant_direction(grid, flat):
     h = tg.tracefree_project(
-        SymTensor2(
-            tg.constant_field(grid, 0.6),
-            tg.constant_field(grid, 0.2),
-            tg.constant_field(grid, -0.6),
-        ),
-        flat,
+        np.array([[0.6, 0.2], [0.2, -0.6]])[:, :, None, None] * np.ones((grid.n, grid.n)), flat
     )
     fd, line = holonomy_derivative_check(flat, h, Loop.square((0.4, 0.4), 0.3), 1e-4)
     assert abs(fd) <= 1e-9
@@ -546,7 +517,5 @@ def test_equivariance_exploratory(grid):
 
 def test_dalpha_zero_direction_is_zero_field(grid):
     g = sampling.random_compatible_metric(grid, 4)
-    zero = tg.tracefree_project(
-        SymTensor2(*(tg.constant_field(grid, 0.0) for _ in range(3))), g
-    )
+    zero = tg.tracefree_project(np.zeros((2, 2, grid.n, grid.n)), g)
     assert sup(tg.dalpha_defect(g, zero).values) == 0.0

@@ -186,7 +186,7 @@ def test_linearized_general_direction_finite_differences(grid):
     # non-trace-free direction exercises the Laplacian and Ricci terms; the
     # perturbed metrics carry their own volume forms
     g = sampling.random_compatible_metric(grid, 5)
-    h = sampling.random_sym_tensor(grid, 77, amp=0.2)
+    h = SymTensor2.from_stack(grid, sampling.random_sym_tensor(grid, 77, amp=0.2))
 
     def metric_own_volume(stack):
         det = stack[0, 0] * stack[1, 1] - stack[0, 1] ** 2
@@ -225,7 +225,7 @@ def test_covariant_divergence_flat_constants(grid, flat):
 
 def test_covariant_divergence_total_divergence_vanishes(grid):
     g = sampling.random_compatible_metric(grid, 6, volume=sampling.random_volume_form(grid, 7))
-    h = tg.raise_sym2(sampling.random_sym_tensor(grid, 8), g)
+    h = tg.raise_sym2(SymTensor2.from_stack(grid, sampling.random_sym_tensor(grid, 8)), g)
     y = tg.covariant_divergence(h, g)
     div = tg.divergence_vector(y, g)
     f = g.volume.density.values
@@ -367,7 +367,7 @@ def test_cached_builds_equal_the_uncached_composition(n):
     assert np.array_equal(tg.double_divergence(h, g), divdiv)
     assert np.array_equal(tg.metric_lie_derivative(x, g).stack(), riemann._metric_lie_derivative(x, g).stack())
     ric_h = np.einsum("ijab,ijab->ab", g.ricci_stack(), up)
-    lap_tr = tg.laplace_beltrami(tg.trace_sym2(h, g), g).values
+    lap_tr = tg.laplace_beltrami(tg.trace_sym2(h.stack(), g), g)
     assert np.array_equal(lin, -lap_tr + divdiv - ric_h)
 
 

@@ -21,6 +21,8 @@ from torusgeom.suites import (
     run_suites,
 )
 
+import golden_check
+
 SMALL = {
     "grid_sizes": [32],
     "seeds": [0, 1, 2],
@@ -37,15 +39,6 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
-
-
-def strip_volatile(body: dict) -> dict:
-    body = json.loads(json.dumps(body))
-    body.pop("generated_at", None)
-    body["summary"].pop("wall_time", None)
-    for rec in body["records"]:
-        rec.pop("wall_time", None)
-    return body
 
 
 # ------------------------------------------------------------ config layer
@@ -95,11 +88,12 @@ def test_every_check_declares_a_fixed_tolerance_that_its_records_carry():
 # runs a suite twice under the same record keys, or that names a tolerance
 CANNOT_FAIL = [
     ({"seeds": [-1, 0]}, "seeds must be non-negative, got [-1, 0]"),
+    ({"grid_sizes": [7]}, "grid_sizes must be even and >= 8, got [7]"),
     ({"suites": []}, "suites must name at least one suite"),
     ({"suites": ["momentum", "momentum"]}, "suites must be distinct, got ['momentum', 'momentum']"),
     ({"tolerances": {"momentum": 1e-7}}, "unknown config field 'tolerances'"),
 ]
-CANNOT_FAIL_IDS = ["negative-seed", "empty-suites", "duplicate-suites", "tolerances"]
+CANNOT_FAIL_IDS = ["negative-seed", "odd-grid", "empty-suites", "duplicate-suites", "tolerances"]
 
 
 @pytest.mark.parametrize("data, message", CANNOT_FAIL, ids=CANNOT_FAIL_IDS)
@@ -511,8 +505,8 @@ def test_cli_deterministic_report_body(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["--config", cfg, "--out", str(out1)]) == 0
     assert main(["--config", cfg, "--out", str(out2)]) == 0
-    b1 = strip_volatile(json.loads(out1.read_text()))
-    b2 = strip_volatile(json.loads(out2.read_text()))
+    b1 = golden_check.strip(json.loads(out1.read_text()))
+    b2 = golden_check.strip(json.loads(out2.read_text()))
     assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
 

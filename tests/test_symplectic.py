@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgeom as tg
-from torusgeom import sampling, symplectic
+from torusgeom import riemann, sampling, symplectic
 from torusgeom.fields import SymTensor2
 from torusgeom.riemann import Metric, VolumeForm, l2_norm_sym2
 from torusgeom.symplectic import TangentVector
@@ -20,19 +20,19 @@ def const_tensor(grid, c11, c12, c22):
 
 def test_tracefree_project_annihilates_pure_trace(grid):
     g = sampling.random_compatible_metric(grid, 0)
-    got = tg.tracefree_project(SymTensor2(g.g11, g.g12, g.g22), g)
+    got = tg.tracefree_project(g.stack(), g)
     assert sup(got.h.stack()) <= 1e-14
 
 
 def test_tracefree_project_fixes_tracefree_input(grid):
     g = sampling.random_compatible_metric(grid, 1)
     h = sampling.random_tangent(g, 2)
-    again = tg.tracefree_project(h.h, g)
+    again = tg.tracefree_project(h.h.stack(), g)
     assert sup(again.h.stack() - h.h.stack()) <= 1e-13 * h.h.max_abs()
 
 
 def test_tracefree_project_flat_diagonal(grid, flat):
-    got = tg.tracefree_project(const_tensor(grid, 3.0, 0.0, 1.0), flat)
+    got = tg.tracefree_project(const_tensor(grid, 3.0, 0.0, 1.0).stack(), flat)
     want = const_tensor(grid, 1.0, 0.0, -1.0)
     assert sup(got.h.stack() - want.stack()) <= 1e-14
 
@@ -200,7 +200,7 @@ def _closedness_reference(g, hs, eps, form):
     """The six-term defect with its own (g_eps, g_-eps) pair for each of its
     nine difference quotients: 18 metric_path calls."""
     def extend(i, gp):
-        return tg.tracefree_project(hs[i].h, gp)
+        return tg.tracefree_project(hs[i].h.stack(), gp)
 
     def pair(i):
         return tg.metric_path(g, extend(i, g), eps), tg.metric_path(g, extend(i, g), -eps)
@@ -217,7 +217,7 @@ def _closedness_reference(g, hs, eps, form):
         return (extend(j, gp).h.stack() - extend(j, gm).h.stack()) / (2.0 * eps)
 
     def bracket(i, j):
-        return tg.tracefree_project(SymTensor2.from_stack(g.grid, push(i, j) - push(j, i)), g)
+        return tg.tracefree_project(push(i, j) - push(j, i), g)
 
     return float(
         deriv(0, 1, 2) - deriv(1, 0, 2) + deriv(2, 0, 1)
@@ -281,3 +281,40 @@ def test_witness_rejects_zero(grid, flat):
     zero = TangentVector(flat, const_tensor(grid, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="nonzero"):
         tg.nondegeneracy_witness(flat, zero)
+
+
+def _three_operand_omega(g, h1, h2):
+    """Omega as -1/2 int tr(a1 m a2) mu with m = g^-1 mu formed from the volume matrix."""
+    ginv = g.inverse_stack()
+    a1 = np.einsum("ikab,kjab->ijab", ginv, h1.h.stack())
+    m = np.einsum("ikab,kjab->ijab", ginv, g.volume.matrix())
+    a2 = np.einsum("ikab,kjab->ijab", ginv, h2.h.stack())
+    integrand = np.einsum("ijab,jkab,kiab->ab", a1, m, a2)
+    return float(-0.5 * np.mean(integrand * g.volume.density.values))
+
+
+def _three_operand_mu_h(g, h):
+    """mu_ik g^kl h_lj from the volume matrix."""
+    return np.einsum("ikab,klab,ljab->ijab", g.volume.matrix(), g.inverse_stack(), h.h.stack())
+
+
+@pytest.mark.parametrize("eps_12", [1.0, -1.0])
+@pytest.mark.parametrize("density", ["flat", "random"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_complex_structure_forms_equal_the_volume_matrix_forms(monkeypatch, n, density, eps_12):
+    # g^-1 mu is read as -complex_structure(g): bit for bit the product with mu itself
+    monkeypatch.setattr(riemann, "EPS_12", eps_12)
+    grid = tg.Grid(n)
+    vol = sampling.random_volume_form(grid, 5) if density == "random" else sampling.flat_volume_form(grid)
+    g = sampling.random_compatible_metric(grid, 3, volume=vol)
+    h1, h2 = sampling.random_tangent(g, 4), sampling.random_tangent(g, 6)
+    assert tg.omega(g, h1, h2) == _three_operand_omega(g, h1, h2)
+
+    partner, value = tg.nondegeneracy_witness(g, h1)
+    rot = _three_operand_mu_h(g, h1)
+    want = SymTensor2.from_stack(grid, 0.5 * (rot + rot.transpose(1, 0, 2, 3))).stack()
+    assert np.array_equal(partner.h.stack(), want)
+    assert value == _three_operand_omega(g, h1, partner)
+
+    mixed = _three_operand_mu_h(g, h2)
+    assert tg.skew_defect_mu_h(g, h2) == float(np.max(np.abs(mixed[0, 1] - mixed[1, 0])))

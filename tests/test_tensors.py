@@ -220,6 +220,9 @@ SHAPES = {
     "connection_alpha": (2, 32, 32),
     "divergence_identity_defect": (32, 32),
     "random_oneform": (2, 32, 32),
+    "trace_sym2": (32, 32),
+    "laplace_beltrami": (32, 32),
+    "random_sym_tensor": (2, 2, 32, 32),
 }
 
 
@@ -229,6 +232,7 @@ def returned():
     h = sampling.random_tangent(g, 6)
     X = tg.div_free_from_stream(sampling.random_stream(GRID32, 7), (0.1, -0.2), g.volume)
     up = tg.raise_sym2(h.h, g)
+    raw = sampling.random_sym_tensor(GRID32, 9)
     return {
         "raise_sym2": up,
         "covariant_divergence": tg.covariant_divergence(up, g),
@@ -236,6 +240,9 @@ def returned():
         "connection_alpha": tg.connection_alpha(g, h),
         "divergence_identity_defect": tg.divergence_identity_defect(g, X.vector.stack()),
         "random_oneform": sampling.random_oneform(GRID32, 8),
+        "trace_sym2": tg.trace_sym2(raw, g),
+        "laplace_beltrami": tg.laplace_beltrami(raw[0, 0], g),
+        "random_sym_tensor": raw,
     }
 
 
