@@ -17,7 +17,6 @@ from torusgeom.bundles import (
     canonical_class,
     constant_curvature_class,
     frame_transport,
-    identity_class,
     kobayashi_add,
     kobayashi_neg,
 )

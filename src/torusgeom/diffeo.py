@@ -286,7 +286,7 @@ def _flow_map(X: DivFreeField, t: float, dt: float) -> DiscreteDiffeo:
     velocity = Interpolator([X.vector.x1, X.vector.x2], derivatives=True)
     Xm, Ym = grid.meshes()
     pts = np.column_stack([Xm.ravel(), Ym.ravel()])
-    nsteps = max(1, math.ceil(abs(t) / dt)) if t != 0.0 else 1
+    nsteps = max(1, math.ceil(abs(t) / dt))
     at_lattice = velocity(pts, derivatives=True)
     fwd, jac = _rk4_flow(velocity, pts, at_lattice, t, nsteps, tangent=True)
     inv, _ = _rk4_flow(velocity, pts, at_lattice[0], -t, nsteps)

@@ -185,6 +185,20 @@ def _inverse(gs: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _expm_traceless(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(t a) of a trace-free (2, 2, ...) stack with det a <= 0, pointwise:
+    the one 2x2 exponential.  a^2 = -det(a) id, so exp(t a) =
+    cosh(lam t) id + sinh(lam t)/lam a with lam = sqrt(-det a), and det = 1."""
+    lam = np.sqrt(np.maximum(-_det(a), 0.0))
+    lt = lam * t
+    ch = np.cosh(lt)
+    sinhc = np.where(lam > 1e-300, np.sinh(lt) / np.where(lam > 1e-300, lam, 1.0), t)
+    expo = sinhc * a
+    expo[0, 0] += ch
+    expo[1, 1] += ch
+    return expo
+
+
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^k_ij as [k, i, j, ...] from g^kl and dg[m, p, q] = d_m g_pq, pointwise."""
     # Gamma^k_ij = g^kl T[l, i, j] / 2, T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij

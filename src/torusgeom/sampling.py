@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Grid, ScalarField, _read_only, random_band_limited
-from .riemann import Metric, VolumeForm, flat_volume_form, project_compatible
+from .riemann import Metric, VolumeForm, _expm_traceless, flat_volume_form, project_compatible
 from .symplectic import TangentVector, tracefree_project
 
 DECAY = 0.5  # coefficient magnitudes scale like DECAY^|k| (random_band_limited)
@@ -18,21 +18,6 @@ DECAY = 0.5  # coefficient magnitudes scale like DECAY^|k| (random_band_limited)
 
 def _child_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
-
-
-def _expm_sym2(arr: np.ndarray) -> np.ndarray:
-    """Pointwise exponential of a symmetric 2x2 field (always SPD)."""
-    a, b, c = arr[0, 0], arr[0, 1], arr[1, 1]
-    m = 0.5 * (a + c)
-    beta = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    ch = np.cosh(beta)
-    sc = np.where(beta > 1e-300, np.sinh(beta) / np.where(beta > 1e-300, beta, 1.0), 1.0)
-    em = np.exp(m)
-    e = np.empty_like(arr)
-    e[0, 0] = em * (ch + sc * 0.5 * (a - c))
-    e[1, 1] = em * (ch - sc * 0.5 * (a - c))
-    e[0, 1] = e[1, 0] = em * sc * b
-    return e
 
 
 def random_volume_form(grid: Grid, seed: int, kmax: int = 4) -> VolumeForm:
@@ -51,11 +36,14 @@ def random_sym_tensor(grid: Grid, seed: int, kmax: int = 4, amp: float = 0.5) ->
 def random_compatible_metric(
     grid: Grid, seed: int, kmax: int = 4, volume: VolumeForm | None = None
 ) -> Metric:
-    """Compatible metric exp(A) rescaled to det = f^2, A random symmetric."""
+    """Compatible metric f exp(A0), A0 the trace-free part of a random symmetric A
+    (det exp(A0) = 1, so project_compatible only rescales by f)."""
     if volume is None:
         volume = flat_volume_form(grid)
     a = random_sym_tensor(grid, _child_seed(seed, 7), kmax, 0.1)
-    return project_compatible(_expm_sym2(a), volume)
+    x = 0.5 * (a[0, 0] - a[1, 1])
+    a0 = np.array([[x, a[0, 1]], [a[0, 1], -x]])
+    return project_compatible(_expm_traceless(a0, 1.0), volume)
 
 
 def random_tangent(g: Metric, seed: int, kmax: int = 4) -> TangentVector:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SymTensor2, _check_same_grid
-from .riemann import Metric, _check_finite, _det, complex_structure, trace_sym2
+from .riemann import Metric, _check_finite, _expm_traceless, complex_structure, trace_sym2
 
 TRACEFREE_TOL = 1e-10
 
@@ -82,17 +82,8 @@ def metric_path(g: Metric, h: TangentVector, t: float) -> Metric:
     is reported with the offending t and lattice location.
     """
     _require_same_base(g, h)
-    ginv = g.inverse_stack()
-    a = np.einsum("ikab,kjab->ijab", ginv, h.h.stack())
-    # traceless 2x2: a^2 = -det(a) id with det(a) <= 0 (a is g-self-adjoint)
-    lam = np.sqrt(np.maximum(-_det(a), 0.0))
-    lt = lam * t
-    ch = np.cosh(lt)
-    sinhc = np.where(lam > 1e-300, np.sinh(lt) / np.where(lam > 1e-300, lam, 1.0), t)
-    expo = sinhc * a
-    expo[0, 0] += ch
-    expo[1, 1] += ch
-    gt = np.einsum("ikab,kjab->ijab", g.stack(), expo)
+    a = np.einsum("ikab,kjab->ijab", g.inverse_stack(), h.h.stack())  # trace-free, g-self-adjoint
+    gt = np.einsum("ikab,kjab->ijab", g.stack(), _expm_traceless(a, t))
     try:
         return Metric.from_stack(g.grid, 0.5 * (gt + gt.transpose(1, 0, 2, 3)), volume=g.volume)
     except ValueError as err:

@@ -11,14 +11,12 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 import torusgeom as tg
 from torusgeom import sampling
-from torusgeom.bundles import KAPPA_CONV, Loop, frame_transport, holonomy_derivative_check
-from torusgeom.fields import ScalarField, SymTensor2, TwoForm
-from torusgeom.riemann import l2_norm_sym2, l2_norm_vector
-from torusgeom.suites import SuiteConfig, run_suites
+from torusgeom.bundles import Loop, frame_transport, holonomy_derivative_check
+from torusgeom.fields import ScalarField
+from torusgeom.riemann import l2_norm_sym2
 
 import golden_check
 from conftest import class_gap, make_setup, pair_scale, seeded_volume, sup

@@ -94,6 +94,65 @@ def test_project_compatible_idempotent(grid):
     assert sup(again.stack() - g.stack()) <= 1e-13
 
 
+def _diagonal(lam, t):
+    z = np.zeros_like(lam)
+    return np.array([[lam, z], [z, -lam]]), np.array([[np.exp(lam * t), z], [z, np.exp(-lam * t)]])
+
+
+def _off_diagonal(b, t):
+    z = np.zeros_like(b)
+    c, s = np.cosh(b * t), np.sinh(b * t)
+    return np.array([[z, b], [b, z]]), np.array([[c, s], [s, c]])
+
+
+def _zero(x, t):
+    z, one = np.zeros_like(x), np.ones_like(x)
+    return np.array([[z, z], [z, z]]), np.array([[one, z], [z, one]])
+
+
+# trace-free a and its exponential exp(t a) in closed form; a = 0 takes the lam <= 1e-300 branch
+EXPM_CLOSED_FORMS = {"diagonal": _diagonal, "off_diagonal": _off_diagonal, "zero": _zero}
+
+
+@pytest.mark.parametrize("t", [1.0, -0.3, 1e-4])
+@pytest.mark.parametrize("form", EXPM_CLOSED_FORMS)
+def test_expm_traceless_closed_forms(form, t):
+    a, want = EXPM_CLOSED_FORMS[form](np.array([-2.5, -0.7, 1e-3, 0.4, 1.5]), t)
+    got = riemann._expm_traceless(a, t)
+    scale = np.max(np.abs(want), axis=(0, 1))  # roundoff is relative to each point's largest entry
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    assert np.all(np.abs(riemann._det(got) - 1.0) <= 1e-15 * scale ** 2)
+
+
+def _expm_sym2(arr):
+    """exp(A) of a symmetric 2x2 stack with the factor exp(tr A / 2) kept."""
+    a, b, c = arr[0, 0], arr[0, 1], arr[1, 1]
+    m = 0.5 * (a + c)
+    beta = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+    ch = np.cosh(beta)
+    sc = np.where(beta > 1e-300, np.sinh(beta) / np.where(beta > 1e-300, beta, 1.0), 1.0)
+    em = np.exp(m)
+    e = np.empty_like(arr)
+    e[0, 0] = em * (ch + sc * 0.5 * (a - c))
+    e[1, 1] = em * (ch - sc * 0.5 * (a - c))
+    e[0, 1] = e[1, 0] = em * sc * b
+    return e
+
+
+@pytest.mark.parametrize("density", ["flat", "random"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_seeded_metric_is_the_rescaled_full_exponential(n, density):
+    # project_compatible divides exp(tr A / 2) out of exp(A), so f exp(A0) is the
+    # same metric up to roundoff
+    grid = tg.Grid(n)
+    vol = sampling.random_volume_form(grid, 5) if density == "random" else sampling.flat_volume_form(grid)
+    for seed in range(3):
+        a = sampling.random_sym_tensor(grid, sampling._child_seed(seed, 7), 4, 0.1)
+        want = tg.project_compatible(_expm_sym2(a), vol).stack()
+        got = sampling.random_compatible_metric(grid, seed, volume=vol).stack()
+        assert sup(got - want) <= 1e-15 * sup(want)
+
+
 def test_christoffel_flat_vanishes(flat):
     gam = tg.christoffel(flat)
     assert sup(gam) == 0.0

@@ -1,6 +1,7 @@
 """The package's one runtime dependency is numpy: every module imports only
 the standard library, numpy and its own package, and pyproject.toml declares
-numpy alone."""
+numpy alone.  No module of the package, its tests or its demos imports a name
+it never uses."""
 
 import ast
 import os
@@ -13,6 +14,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "torusgeom").glob("*.py"))
+# __init__.py imports to re-export; perfbench/ is the benchmark's and is not scanned
+SCANNED = sorted(p for d in ("src/torusgeom", "tests", "demos")
+                 for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
 
 
 def _imported_top_levels(tree: ast.Module) -> set[str]:
@@ -25,6 +29,18 @@ def _imported_top_levels(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
     return names
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by an import and never read; __future__ imports are skipped."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
 
 
 def test_the_package_has_modules():
@@ -43,6 +59,18 @@ def test_the_import_scan_sees_a_third_party_import():
     tree = ast.parse("import numpy as np\nfrom scipy import fft\nfrom . import fields\n"
                      "from .riemann import Metric\nimport os.path\n")
     assert _imported_top_levels(tree) == {"numpy", "scipy", "os"}
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_a_module_imports_no_unused_name(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.relative_to(ROOT)} never uses {sorted(unused)}"
+
+
+def test_the_unused_import_scan_sees_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                     "from .riemann import Metric, _det\nx = np.pi * _det(os.sep)\n")
+    assert _unused_imports(tree) == {"Metric"}
 
 
 def test_pyproject_declares_numpy_as_the_only_runtime_dependency():

@@ -147,6 +147,29 @@ def test_metric_path_stays_compatible(grid, t):
     assert tg.metric_path(g, h, t).compatibility_residual() <= 1e-11
 
 
+def _inline_path_stack(g, h, t):
+    """g exp(t g^-1 h) with the traceless exponential written out in place."""
+    a = np.einsum("ikab,kjab->ijab", g.inverse_stack(), h.h.stack())
+    lam = np.sqrt(np.maximum(-(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]), 0.0))
+    lt = lam * t
+    ch = np.cosh(lt)
+    sinhc = np.where(lam > 1e-300, np.sinh(lt) / np.where(lam > 1e-300, lam, 1.0), t)
+    expo = sinhc * a
+    expo[0, 0] += ch
+    expo[1, 1] += ch
+    gt = np.einsum("ikab,kjab->ijab", g.stack(), expo)
+    return 0.5 * (gt + gt.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("t", [0.1, -0.3, 1e-4])
+@pytest.mark.parametrize("n", [32, 64])
+def test_metric_path_is_the_inline_exponential_bit_for_bit(n, t):
+    grid = tg.Grid(n)
+    g = sampling.random_compatible_metric(grid, 15, volume=sampling.random_volume_form(grid, 16))
+    h = sampling.random_tangent(g, 17)
+    assert np.array_equal(tg.metric_path(g, h, t).stack(), _inline_path_stack(g, h, t))
+
+
 def test_metric_path_reports_positivity_loss(grid, flat):
     h = TangentVector(flat, const_tensor(grid, 5.0, 0.0, -5.0))
     with pytest.raises(ValueError, match="t="):
