@@ -26,9 +26,8 @@ print("\nclosest call:", worst["suite"], "/", worst["name"],
       f"seed={worst['seed']} N={worst['n']}:",
       f"residual {worst['residual']:.3e} vs tolerance {worst['tolerance']:.1e}")
 
-csv_text, _ = convergence_table(report)
 print("\nconvergence table (residual vs N):")
-print(csv_text)
+print(convergence_table(report))
 
 # a single failing record would be reproducible from the command line, with
 # this config written to cfg.json, as

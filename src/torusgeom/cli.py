@@ -5,13 +5,15 @@
 
 The config names grid_sizes, seeds, kmax and suites; every tolerance is
 fixed where its check is declared, in `suites`.  `--record` runs one record
-of the config's full run, with the same residual, note and tolerance.  Exit
-codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error, including a config that cannot run or cannot fail (a
-negative seed, no suites, a suite named twice) and a `--record` seed or N
-outside that check's sweep.  The convergence CSV is written next to the
-report, as <report stem>_convergence.csv.  Report bodies are deterministic
-for a fixed config up to the generated_at timestamp and the wall_time fields.
+of this config's full run (its suite configured, its seed and N in its
+check's sweep), with the same residual, note and tolerance; checks whose
+inputs take no seed run at the first configured seed.  Exit codes: 0 all
+checks passed, 1 at least one check failed, 2 usage or configuration error,
+including a config that cannot run or cannot fail (a negative seed, no
+suites, a suite named twice) and a `--record` the full run does not hold.
+A report with convergence records gets its CSV next to it, as
+<report stem>_convergence.csv.  Report bodies are deterministic for a fixed
+config up to the generated_at timestamp and the wall_time fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from .suites import SUITE_NAMES, SuiteConfig, convergence_table, run_suites
+from .suites import SUITE_NAMES, SuiteConfig, convergence_table, run_record, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,8 +89,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config, args.suites)
-        record = _parse_record(args.record) if args.record else None
-        report = run_suites(config, record_filter=record)
+        report = run_record(config, *_parse_record(args.record)) if args.record else run_suites(config)
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -100,10 +101,8 @@ def main(argv=None) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
-    csv_text, warning = convergence_table(report)
-    out.with_name(out.stem + "_convergence.csv").write_text(csv_text)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
+    if any(rec.suite == "convergence" for rec in report.records):
+        out.with_name(out.stem + "_convergence.csv").write_text(convergence_table(report))
 
     summary = body["summary"]
     status = "PASS" if summary["overall_pass"] else "FAIL"

@@ -5,18 +5,19 @@ of the table CHECKS, by a `check` method of its suite's class: the method
 name is the record name, and its `@check` states the sweep and the
 tolerance.  Tolerances are fixed here; no config changes them.  `sweep`
 lists a check's (seed, N) points before anything runs; `run` returns the
-residual, or (residual, note).  The runner, `--record` and SUITE_NAMES all
-read this table.  A point is the suite's class at one (seed, N), its seeded
-inputs cached properties dropped with it; points share no state.  An
-exception fails only the record that raised it; a record reruns alone to the
-same result.  A config is checked where it is built, from Python or JSON.
+residual, or (residual, note).  `plan` reads this table and is the one rule
+for which records a config runs: `run_suites` runs them all, `run_record`
+(`--record`) one alone, to the same result.  A point is the suite's class at
+one (seed, N), its seeded inputs cached properties dropped with it; points
+share no state.  An exception fails only the record that raised it.  A config
+is checked where it is built, from Python or JSON.
 
-Seed policy: sweep suites consume config.seeds slices of documented length
-(momentum uses all seeds and switches on a harmonic part for the last 30%);
-non-convergence suites run at max(grid_sizes), the convergence suite at every
-configured size.  For must-be-large probes (detector sensitivity, pairing
-nondegeneracy) the residual is stored as threshold/measured so that the usual
-"residual <= tolerance = 1" rule applies.
+Seed policy: every sweep takes the first seeds of config.seeds (momentum all
+of them, with a harmonic part for the last 30%); a check whose inputs take no
+seed runs at the first.  Non-convergence suites run at max(grid_sizes), the
+convergence suite at every configured size.  For must-be-large probes
+(detector sensitivity, pairing nondegeneracy) the residual is stored as
+threshold/measured so that the usual "residual <= tolerance = 1" rule applies.
 """
 
 from __future__ import annotations
@@ -136,11 +137,6 @@ def desk(count: int | None = None):
     return lambda config: [(seed, config.n_desk) for seed in config.seeds[:count]]
 
 
-def seed_zero(config):
-    """Sweep: seed 0 at the desk size, for checks whose inputs take no seed."""
-    return [(0, config.n_desk)]
-
-
 def every_size(config):
     """Sweep: the first three seeds at every configured size."""
     return [(seed, n) for n in sorted(config.grid_sizes) for seed in config.seeds[:3]]
@@ -178,13 +174,13 @@ class Calculus(Point, suite="calculus"):
         a, b = (self.seed * 7 + 3) % n, (self.seed * 11 + 5) % n
         return abs(fields.interpolate(self.f, (a / n, b / n)) - self.f.values[a, b])
 
-    @check(seed_zero, tolerance=1e-12)
+    @check(desk(1), tolerance=1e-12)
     def partial_trig_exact(self):
         X, _ = self.grid.meshes()
         sine = fields.ScalarField(self.grid, np.sin(2 * np.pi * X))
         return float(np.max(np.abs(fields.partial(sine, 1).values - 2 * np.pi * np.cos(2 * np.pi * X))))
 
-    @check(seed_zero, tolerance=1e-14)
+    @check(desk(1), tolerance=1e-14)
     def integrate_mode_cancellation(self):
         X, _ = self.grid.meshes()
         return abs(fields.integrate(np.sin(2 * np.pi * X)))
@@ -424,7 +420,7 @@ class Momentum(Point, suite="momentum"):
         phi = fields.random_band_limited(self.grid, self.seed + 7, self.kmax, 0.5)
         return abs(diffeo.pairing_kappa(self.flow_field, fields._derivatives(phi.values)))
 
-    @check(seed_zero, tolerance=1e-12)
+    @check(desk(1), tolerance=1e-12)
     def kappa_harmonic_value(self):
         x_harm = diffeo.div_free_from_stream(constant_field(self.grid, 0.0), (1.0, 0.0), self.flat_vol)
         c = 0.735
@@ -433,7 +429,7 @@ class Momentum(Point, suite="momentum"):
         ref = -c / self.flat_vol.coefficient()[0, 0]  # -c f / mu_12 with f = 1
         return abs(diffeo.pairing_kappa(x_harm, alpha) - ref)
 
-    @check(seed_zero, tolerance=1.0)
+    @check(desk(1), tolerance=1.0)
     def kappa_nondegeneracy_probe(self):
         min_kappa = _kappa_probe_min(self.grid, self.flat_vol)
         note = f"min |kappa| over non-exact basis classes {min_kappa:.3e}"
@@ -566,7 +562,7 @@ class FlowInvariance(Point, suite="flow-invariance"):
         om1 = symplectic.omega(gp, hp1, hp2)
         return abs(om1 - om0) / max(abs(om0), 1e-30)
 
-    @check(seed_zero, tolerance=1e-12)
+    @check(desk(1), tolerance=1e-12)
     def translation_exact(self):
         xc = diffeo.div_free_from_stream(constant_field(self.grid, 0.0), (0.0, 1.0), self.flat_vol)
         phi = diffeo.flow(xc, 0.25, 5e-3)
@@ -715,22 +711,14 @@ def _run(c: Check, point: Point) -> CheckResult:
 
 
 def plan(config: SuiteConfig, suite: str) -> dict[tuple[int, int], list[Check]]:
-    """The suite's (seed, N) points in sweep order, each with the checks that sweep it."""
+    """The suite's (seed, N) points in sweep order, each with the checks that sweep
+    it: the records a config that names the suite runs, and the only ones."""
     points: dict = {}
     for c in CHECKS:
         if c.suite == suite:
             for key in c.sweep(config):
                 points.setdefault(key, []).append(c)
     return points
-
-
-def _run_record(config: SuiteConfig, name: str, seed: int, n: int) -> CheckResult:
-    c = next((c for c in CHECKS if c.name == name), None)
-    if c is None:
-        raise ValueError(f"unknown record name '{name}'")
-    if (seed, n) not in c.sweep(config):
-        raise ValueError(f"record {name}:{seed}:{n} is outside the {c.suite}/{name} sweep")
-    return _run(c, SUITES[c.suite](config, seed, n))
 
 
 @dataclass
@@ -760,32 +748,38 @@ class SuiteReport:
         }
 
 
-def run_suites(config: SuiteConfig, record_filter: tuple[str, int, int] | None = None) -> SuiteReport:
-    """Execute the configured suites, or the one record (name, seed, N) of a check."""
+def run_suites(config: SuiteConfig) -> SuiteReport:
+    """Execute the configured suites, point by point in `plan` order."""
     t0 = time.perf_counter()
-    if record_filter is None:
-        records = []
-        for suite in config.suites:
-            for (seed, n), checks in plan(config, suite).items():
-                point = SUITES[suite](config, seed, n)
-                records += [_run(c, point) for c in checks]
-    else:
-        records = [_run_record(config, *record_filter)]
+    records = []
+    for suite in config.suites:
+        for (seed, n), checks in plan(config, suite).items():
+            point = SUITES[suite](config, seed, n)
+            records += [_run(c, point) for c in checks]
     return SuiteReport(config, records, time.perf_counter() - t0)
 
 
-def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
+def run_record(config: SuiteConfig, name: str, seed: int, n: int) -> SuiteReport:
+    """The record (name, seed, N) of `run_suites(config)`, run alone; a record
+    that run does not hold is a ValueError."""
+    t0 = time.perf_counter()
+    c = next((c for c in CHECKS if c.name == name), None)
+    if c is None:
+        raise ValueError(f"unknown record name '{name}'")
+    if c.suite not in config.suites:
+        raise ValueError(f"record {name} is in suite {c.suite}, which the config does not run")
+    if c not in plan(config, c.suite).get((seed, n), []):
+        raise ValueError(f"record {name}:{seed}:{n} is outside the {c.suite}/{name} sweep")
+    return SuiteReport(config, [_run(c, SUITES[c.suite](config, seed, n))], time.perf_counter() - t0)
+
+
+def convergence_table(report: SuiteReport) -> str:
     """CSV text with one row per (check, N): residual, ratio to previous N, flag.
 
     The flag uses the dalpha_ratio gate's roundoff floor and ratio tolerance.
-
-    Returns (csv_text, warning) where warning is set when the report holds no
-    convergence data (the table is then just the header row).
     """
     rows = ["check,N,residual,ratio,flag"]
     recs = [r for r in report.records if r.suite == "convergence" and r.name != "dalpha_ratio"]
-    if not recs:
-        return rows[0] + "\n", "no convergence records in report; table is empty"
     by_check: dict = {}
     for r in recs:
         by_check.setdefault(r.name, {}).setdefault(r.n, []).append(r.residual)
@@ -808,4 +802,4 @@ def convergence_table(report: SuiteReport) -> tuple[str, str | None]:
                     flag = "flat"
             rows.append(f"{check},{n},{res:.6e},{ratio},{flag}")
             prev = res
-    return "\n".join(rows) + "\n", None
+    return "\n".join(rows) + "\n"

@@ -1,6 +1,7 @@
 """Compare a `verify` report with the committed golden default report.
 
     python tests/golden_check.py report.json [golden.json]
+    python tests/golden_check.py --write report.json
 
 Prints every difference that counts and the records within a factor 2 of
 their tolerance, and exits 1 if there is a difference.  A difference is a
@@ -8,6 +9,7 @@ record missing or added (by suite, name, seed, N), a changed pass/fail,
 tolerance, note or other record field, a residual that moved by more than
 MOVE_FACTOR unless both values are below MOVE_FLOOR, or a change anywhere
 else in the report.  Wall times and the timestamp are not compared.
+`--write` replaces the golden file with the report, stripped of them.
 """
 
 from __future__ import annotations
@@ -97,8 +99,11 @@ def load(path) -> dict:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if not 1 <= len(args) <= 2:
-        print("usage: golden_check.py report.json [golden.json]", file=sys.stderr)
+    if len(args) == 2 and args[0] == "--write":
+        GOLDEN.write_text(json.dumps(strip(load(args[1])), indent=1, sort_keys=True) + "\n")
+        return 0
+    if not 1 <= len(args) <= 2 or "--write" in args:
+        print("usage: golden_check.py report.json [golden.json] | --write report.json", file=sys.stderr)
         return 2
     report = load(args[0])
     golden = load(args[1] if len(args) == 2 else GOLDEN)

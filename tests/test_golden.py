@@ -28,6 +28,13 @@ def _index(golden, name):
     return next(i for i, r in enumerate(golden["records"]) if r["name"] == name)
 
 
+def test_the_write_recipe_reproduces_the_golden_file_from_itself(tmp_path, monkeypatch):
+    committed = gc.GOLDEN
+    monkeypatch.setattr(gc, "GOLDEN", tmp_path / "verify_default.json")
+    assert gc.main(["--write", str(committed)]) == 0
+    assert gc.GOLDEN.read_bytes() == committed.read_bytes()
+
+
 def test_checker_accepts_the_golden_itself(golden):
     assert gc.compare(golden, golden) == []
 

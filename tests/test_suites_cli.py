@@ -5,9 +5,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgeom import bundles, diffeo, sampling, suites
 from torusgeom.cli import _load_config, main
@@ -18,6 +21,7 @@ from torusgeom.suites import (
     SuiteConfig,
     SuiteReport,
     convergence_table,
+    run_record,
     run_suites,
 )
 
@@ -283,7 +287,7 @@ def test_declared_sweeps_equal_the_golden_records():
 def test_nan_residual_fails_record():
     from torusgeom.suites import Check, _run
 
-    check = Check("momentum", "x", 1e-8, suites.seed_zero, lambda point: float("nan"))
+    check = Check("momentum", "x", 1e-8, suites.desk(1), lambda point: float("nan"))
     rec = _run(check, suites.SUITES["momentum"](SuiteConfig(), 0, 32))
     assert not rec.passed
 
@@ -301,10 +305,7 @@ def test_momentum_suite_fifty_seeds_within_budget():
 
 
 def test_single_record_rerun():
-    report = run_suites(
-        SuiteConfig(grid_sizes=(32, 64), seeds=tuple(range(50))),
-        record_filter=("momentum_residual", 7, 64),
-    )
+    report = run_record(SuiteConfig(grid_sizes=(32, 64), seeds=tuple(range(50))), "momentum_residual", 7, 64)
     assert len(report.records) == 1
     rec = report.records[0]
     assert (rec.name, rec.seed, rec.n) == ("momentum_residual", 7, 64)
@@ -320,7 +321,7 @@ def test_every_record_reruns_alone_to_the_full_run():
     full = run_suites(config).records
     assert len(full) == 84
     for rec in full:
-        alone = run_suites(config, record_filter=(rec.name, rec.seed, rec.n)).records
+        alone = run_record(config, rec.name, rec.seed, rec.n).records
         assert [(r.residual, r.note, r.tolerance) for r in alone] == [
             (rec.residual, rec.note, rec.tolerance)
         ], f"{rec.name}:{rec.seed}:{rec.n}"
@@ -356,15 +357,100 @@ def test_flow_residuals_are_reported_past_the_volume_gate():
 
 def test_single_record_unknown_name():
     with pytest.raises(ValueError, match="unknown record"):
-        run_suites(SuiteConfig(), record_filter=("no_such_check", 0, 64))
+        run_record(SuiteConfig(), "no_such_check", 0, 64)
+
+
+@st.composite
+def suite_configs(draw):
+    """Valid configs, their seed lists in any order and not starting at 0."""
+    grid_sizes = draw(st.lists(st.sampled_from([8, 16, 24, 32, 48, 64]), min_size=1, max_size=4, unique=True))
+    return SuiteConfig(
+        grid_sizes=grid_sizes,
+        seeds=draw(st.lists(st.integers(0, 200), min_size=1, max_size=60, unique=True)),
+        kmax=draw(st.integers(0, min(grid_sizes) // 4 - 1)),
+        suites=draw(st.lists(st.sampled_from(suites.SUITE_NAMES), min_size=1, unique=True)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=suite_configs(), data=st.data())
+def test_plan_is_the_one_rule_for_which_records_a_config_runs(config, data):
+    # plan's points are configured (seed, N); run_record accepts a record
+    # exactly when its suite is configured and plan holds its check there
+    for suite in config.suites:
+        for seed, n in suites.plan(config, suite):
+            assert seed in config.seeds and n in config.grid_sizes, (suite, seed, n)
+    c = data.draw(st.sampled_from(CHECKS))
+    seed = data.draw(st.sampled_from([*config.seeds, max(config.seeds) + 1]))
+    n = data.draw(st.sampled_from([*config.grid_sizes, 2 * config.n_desk]))
+    held = c.suite in config.suites and c in suites.plan(config, c.suite).get((seed, n), [])
+    with mock.patch.object(suites, "_run", lambda check, point: (check.name, point.seed, point.n)):
+        if held:
+            assert run_record(config, c.name, seed, n).records == [(c.name, seed, n)]
+        else:
+            with pytest.raises(ValueError, match="outside the|does not run"):
+                run_record(config, c.name, seed, n)
+
+
+SEEDS_5_TO_7 = {"seeds": [5, 6, 7], "grid_sizes": [64], "suites": ["calculus"]}
+
+
+def test_checks_whose_inputs_take_no_seed_run_at_the_first_configured_seed():
+    records = run_suites(SuiteConfig.from_dict(SEEDS_5_TO_7)).records
+    seedless = {"partial_trig_exact", "integrate_mode_cancellation"}
+    assert sorted((r.name, r.seed) for r in records if r.name in seedless) == [
+        ("integrate_mode_cancellation", 5), ("partial_trig_exact", 5)]
+    assert {r.seed for r in records} == {5, 6, 7}
+
+
+@pytest.mark.parametrize(
+    "data, args, message",
+    [
+        (SEEDS_5_TO_7, ["--record", "no_such_check:5:64"], "unknown record name 'no_such_check'"),
+        ({}, ["--suites", "calculus", "--record", "momentum_residual:7:64"],
+         "record momentum_residual is in suite momentum, which the config does not run"),
+        (SEEDS_5_TO_7, ["--record", "partial_trig_exact:0:64"], "outside the calculus/partial_trig_exact sweep"),
+        (SEEDS_5_TO_7, ["--record", "partial_trig_exact:5:32"], "outside the calculus/partial_trig_exact sweep"),
+    ],
+    ids=["unknown-name", "suite-not-configured", "seed-outside-plan", "n-outside-plan"],
+)
+def test_cli_record_the_full_run_does_not_hold_is_a_usage_error(tmp_path, capsys, data, args, message):
+    out = tmp_path / "r.json"
+    assert main(["--config", write_config(tmp_path, data), *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_record_at_the_first_configured_seed_is_the_full_runs_record(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["--config", write_config(tmp_path, SEEDS_5_TO_7), "--record", "partial_trig_exact:5:64",
+                 "--out", str(out)]) == 0
+    full = run_suites(SuiteConfig.from_dict(SEEDS_5_TO_7)).to_dict()["records"]
+    want = [r for r in full if r["name"] == "partial_trig_exact"]
+    assert golden_check.strip(json.loads(out.read_text()))["records"] == golden_check.strip({
+        "summary": {}, "records": want})["records"]
+
+
+def test_one_record_of_every_check_reruns_alone_to_the_full_run():
+    # at the coarse sizes some records fail or raise; each still reruns to
+    # the same residual (NaN for NaN), note and tolerance
+    config = SuiteConfig.from_dict({"grid_sizes": [32, 48], "seeds": [3, 4, 5]})
+    full = run_suites(config).records
+    first = {}
+    for rec in full:
+        first.setdefault(rec.name, rec)
+    assert len(full) == 136 and len(first) == len(CHECKS)
+    for rec in first.values():
+        [alone] = run_record(config, rec.name, rec.seed, rec.n).records
+        same_residual = alone.residual == rec.residual or math.isnan(alone.residual) and math.isnan(rec.residual)
+        assert same_residual and (alone.note, alone.tolerance) == (rec.note, rec.tolerance), \
+            f"{rec.name}:{rec.seed}:{rec.n}"
 
 
 def test_convergence_table_rows():
     config = SuiteConfig(grid_sizes=(32, 48, 64), seeds=(0, 1, 2), suites=("convergence",))
     report = run_suites(config)
-    csv_text, warning = convergence_table(report)
-    assert warning is None
-    lines = csv_text.strip().splitlines()
+    lines = convergence_table(report).strip().splitlines()
     assert lines[0] == "check,N,residual,ratio,flag"
     dalpha_rows = [l for l in lines if l.startswith("dalpha_residual")]
     assert len(dalpha_rows) == 3
@@ -382,7 +468,7 @@ def test_convergence_resolved_grids_pass_at_roundoff_floor():
     assert [r.residual for r in ratios] == [0.0] * 3
     assert all("floor" in r.note for r in ratios)
     # the CSV flags the same rows with the same floor
-    csv_text, _ = convergence_table(report)
+    csv_text = convergence_table(report)
     assert "dalpha_residual,128," in csv_text
     assert csv_text.split("dalpha_residual,128,")[1].split("\n")[0].endswith(",floor")
 
@@ -403,11 +489,14 @@ def test_convergence_unresolved_fine_grid_still_fails(monkeypatch, level):
     assert all(r.residual > 1.0 for r in ratios)
 
 
-def test_convergence_table_empty_warning():
-    report = SuiteReport(SuiteConfig(), [], 0.0)
-    csv_text, warning = convergence_table(report)
-    assert warning is not None
-    assert csv_text.strip() == "check,N,residual,ratio,flag"
+def test_cli_writes_the_convergence_csv_only_with_convergence_records(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid_sizes": [32, 48], "seeds": [0, 1, 2], "suites": ["kobayashi"]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "plain.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "plain.json"]
+    assert main(["--config", cfg, "--suites", "convergence", "--out", str(tmp_path / "conv.json")]) == 0
+    csv = (tmp_path / "conv_convergence.csv").read_text().splitlines()
+    assert csv[0] == "check,N,residual,ratio,flag" and len(csv) == 5
 
 
 def test_convergence_table_flags_a_slow_decay_and_a_plateau():
@@ -418,9 +507,7 @@ def test_convergence_table_flags_a_slow_decay_and_a_plateau():
         for seed in (0, 1)
         for n, res in ((32, 1e-3), (48, 5e-4), (64, 6e-4))
     ]
-    csv_text, warning = convergence_table(SuiteReport(config, records, 0.0))
-    assert warning is None
-    assert csv_text.splitlines()[1:] == [
+    assert convergence_table(SuiteReport(config, records, 0.0)).splitlines()[1:] == [
         "lemma1_residual,32,1.000000e-03,,first",
         "lemma1_residual,48,5.000000e-04,5.000000e-01,decaying",
         "lemma1_residual,64,6.000000e-04,1.200000e+00,flat",
@@ -436,7 +523,7 @@ def test_cli_pass_run(tmp_path):
     assert main(["--config", cfg, "--out", str(out)]) == 0
     body = json.loads(out.read_text())
     assert body["summary"]["overall_pass"] is True
-    assert (out.parent / "report_convergence.csv").exists()
+    assert not (out.parent / "report_convergence.csv").exists()  # no convergence records
 
 
 def test_cli_exit_1_on_check_failure(tmp_path):
@@ -542,10 +629,10 @@ def test_pushforward_compatibility_is_a_residual_on_coarse_grids(n, seed):
     # the check reports how far, omega_invariance reports its own residual on
     # that metric, and pushforward_metric still holds the gate
     config = SuiteConfig(grid_sizes=(n,), seeds=(0, 1, 2), suites=("flow-invariance",))
-    rec = run_suites(config, record_filter=("pushforward_compatibility", seed, n)).records[0]
+    rec = run_record(config, "pushforward_compatibility", seed, n).records[0]
     assert math.isfinite(rec.residual) and rec.residual > rec.tolerance
     assert not rec.passed and "ValueError" not in rec.note
-    omega = run_suites(config, record_filter=("omega_invariance", seed, n)).records[0]
+    omega = run_record(config, "omega_invariance", seed, n).records[0]
     assert math.isfinite(omega.residual) and omega.note == ""
     point = suites.SUITES["flow-invariance"](config, seed, n)
     with pytest.raises(ValueError, match="pushforward lost compatibility"):
