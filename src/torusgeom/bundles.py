@@ -15,8 +15,10 @@ and its holonomy angle is -KAPPA_CONV times the transported frame angle.  All
 convention-free identities (d alpha, the divergence identity, the momentum
 residual) are independent of KAPPA_CONV.
 
-Frame transport forms omega only at a loop's quadrature nodes, from the
-interpolated metric and its derivatives: no lattice connection form is built.
+omega is one pointwise formula (_connection).  Frame transport forms it at a
+loop's quadrature nodes from the interpolated metric; canonical_class forms it
+on the lattice from the cached Christoffel array and integrates it along the
+generators, which are lattice lines (generator_integrals).
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class Loop:
     """Closed polyline on the torus in lifted coordinates.
 
     points has shape (m+1, 2), finite, with points[-1] = points[0] + winding
-    for an integer winding pair; the loop is contractible iff the winding is
-    (0, 0).
+    for an integer winding pair.
     All loops used by the verification suites (squares, generators) are exact
     polylines, so no resampling error enters the line integrals.
     """
@@ -88,10 +89,6 @@ class Loop:
     def winding(self) -> tuple[int, int]:
         gap = self.points[-1] - self.points[0]
         return int(round(gap[0])), int(round(gap[1]))
-
-    @property
-    def contractible(self) -> bool:
-        return self.winding == (0, 0)
 
     @classmethod
     def square(cls, center: tuple[float, float], side: float) -> "Loop":
@@ -192,21 +189,15 @@ def divergence_identity_defect(g: Metric, Y: np.ndarray) -> np.ndarray:
     return _read_only(nab[0, 1] - nab[1, 0] - div * g.volume.coefficient())
 
 
-def _transport(interp: Interpolator, sign: float, loop: Loop) -> float:
-    """-int_loop omega, the Levi-Civita connection 1-form omega_i =
-    g(nabla_i E1, E2) formed at the loop's nodes from interp, the (g11, g12,
-    g22) interpolant with derivatives.  E1 = d/dx / sqrt(g11) and E2 = I E1
-    form a global g-orthonormal frame, so along a parallel vector the angle
-    against E1 obeys theta' = -omega(c').  With I = -g^-1 mu and mu = sign
-    sqrt(det g) eps (sign: the volume form's), g(V, E2) = -mu(V, E1) =
-    sign sqrt(det g) E1^1 V^2, so only nabla_i E1^2 = Gamma^2_i1 E1^1 enters:
-    omega_i = sign sqrt(det g) Gamma^2_i1 / g11."""
-    pts, wvec = _loop_nodes(loop)
-    vals = interp(pts, derivatives=True)[:, [[0, 1], [1, 2]]]  # (g11, g12, g22) -> g[p, q]
-    gs, dg = vals[0], vals[1:]  # g_pq and d_i g_pq
-    gamma = _levi_civita(_inverse(gs), dg)[1, :, 0]  # Gamma^2_i1
-    omega = sign * np.sqrt(_det(gs)) / gs[0, 0] * gamma
-    return -float(np.sum(omega.T * wvec))
+def _connection(gs: np.ndarray, gamma: np.ndarray, sign: float) -> np.ndarray:
+    """The Levi-Civita connection 1-form omega_i = g(nabla_i E1, E2), pointwise
+    from g_pq values gs (2, 2, ...) and gamma = Gamma^2_i1 (2, ...).  E1 =
+    d/dx / sqrt(g11) and E2 = I E1 form a global g-orthonormal frame, so along
+    a parallel vector the angle against E1 obeys theta' = -omega(c').  With
+    I = -g^-1 mu and mu = sign sqrt(det g) eps (sign: the volume form's),
+    g(V, E2) = -mu(V, E1) = sign sqrt(det g) E1^1 V^2, so only nabla_i E1^2 =
+    Gamma^2_i1 E1^1 enters: omega_i = sign sqrt(det g) Gamma^2_i1 / g11."""
+    return sign * np.sqrt(_det(gs)) / gs[0, 0] * gamma
 
 
 def frame_transport(g: Metric, loop: Loop) -> float:
@@ -217,23 +208,36 @@ def frame_transport(g: Metric, loop: Loop) -> float:
     Cartan's structure equation d(omega) = -(S/2) mu, so for a positively
     oriented contractible loop it is the enclosed integral of S/2.
     """
-    return _transport(Interpolator([g.g11, g.g12, g.g22], derivatives=True), g.volume.sign, loop)
+    interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)
+    pts, wvec = _loop_nodes(loop)
+    vals = interp(pts, derivatives=True)[:, [[0, 1], [1, 2]]]  # (g11, g12, g22) -> g[p, q]
+    gs, dg = vals[0], vals[1:]  # g_pq and d_i g_pq
+    omega = _connection(gs, _levi_civita(_inverse(gs), dg)[1, :, 0], g.volume.sign)
+    return -float(np.sum(omega.T * wvec))
 
 
 def canonical_class(g: Metric) -> CircleBundleClass:
     """The canonical circle bundle of (g, mu) as a gauge class.
 
     Curvature is -KAPPA_CONV * K * mu = -S mu with K = S/2; the generator
-    holonomies come from frame transport along the two straight generators
-    through the origin.  On the torus the Chern integer is forced to 0 by
-    Gauss-Bonnet; the class's quantization check doubles as a transport sanity check.
+    holonomies are -KAPPA_CONV times the frame transport along the two
+    straight generators through the origin, from omega on the lattice.  On the
+    torus the Chern integer is forced to 0 by Gauss-Bonnet; the class's
+    quantization check doubles as a sanity check.
     """
     s = scalar_curvature(g)
     curv = TwoForm.from_stack(g.grid, -KAPPA_CONV * (0.5 * s.values) * g.volume.coefficient())
-    interp = Interpolator([g.g11, g.g12, g.g22], derivatives=True)  # both generators
-    theta_a, theta_b = (_transport(interp, g.volume.sign, Loop.generator(axis)) for axis in (1, 2))
+    omega = _connection(g.stack(), g.christoffel()[1, :, 0], g.volume.sign)
+    hol_a, hol_b = KAPPA_CONV * generator_integrals(omega)  # the frame angle is -int omega
     chern = int(round(integrate(curv.stack()) / TWO_PI))
-    return CircleBundleClass(curv, -KAPPA_CONV * theta_a, -KAPPA_CONV * theta_b, chern)
+    return CircleBundleClass(curv, hol_a, hol_b, chern)
+
+
+def generator_integrals(oneform: np.ndarray) -> np.ndarray:
+    """(int_A, int_B) of a 1-form with (2, n, n) components along the generators
+    through the origin, the lattice lines y = 0 and x = 0, by the periodic
+    trapezoid rule: geometric convergence for a smooth periodic integrand."""
+    return np.array([np.mean(oneform[0, :, 0]), np.mean(oneform[1, 0, :])])
 
 
 def momentum_residual(
@@ -278,13 +282,11 @@ def holonomy_derivative_check(
 ) -> tuple[float, float]:
     """(d/dt of the canonical holonomy angle along metric_path, int_gamma alpha).
 
-    Only contractible loops are accepted.  The derivative is path_derivative's
-    Richardson value on central steps of eps and eps/2, so it costs four
-    frame transports.  The two values agree by the log-derivative identity
-    for the canonical bundle.
+    The derivative is path_derivative's Richardson value on central steps of
+    eps and eps/2, so it costs four frame transports.  The two values agree
+    by the log-derivative identity for the canonical bundle, on winding
+    loops too: frame transport's angle is measured continuously.
     """
-    if not loop.contractible:
-        raise ValueError(f"loop winds {loop.winding}; the check needs a contractible loop")
     fd = path_derivative(lambda gt: -KAPPA_CONV * frame_transport(gt, loop), g, h, eps)
     line = loop_integral_oneform(connection_alpha(g, h), loop)
     return float(fd), float(line)

@@ -390,6 +390,25 @@ class Lemma2(Point, suite="lemma2"):
         )
         return abs(fd - line) / max(abs(line), 1e-30)
 
+    @check(desk(3), tolerance=1e-7)
+    def class_log_derivative(self):
+        """d/dt of J(g_t) = canonical_class against (d alpha_h, int_A alpha_h,
+        int_B alpha_h), each relative; an angle rate is Im(conj(z) dz/dt) of
+        its phase z, so the mod-2pi wrap cannot break the difference."""
+        def parts(gt):  # the curvature coefficient, then the two unit phases
+            c = bundles.canonical_class(gt)
+            return np.append(c.curvature.c12.values, np.exp(1j * np.array([c.holA, c.holB])))
+
+        rate = symplectic.path_derivative(parts, self.g, self.h, 1e-4)
+        alpha = bundles.connection_alpha(self.g, self.h)
+        dalpha = fields._derivatives(np.stack([alpha[1], -alpha[0]]), summed=True)
+        lines = bundles.generator_integrals(alpha)
+        angle_rates = (np.conj(parts(self.g)[-2:]) * rate[-2:]).imag
+        hol = np.abs(angle_rates - lines) / np.maximum(np.abs(lines), 1e-30)
+        curv = np.max(np.abs(rate[:-2].real.reshape(dalpha.shape) - dalpha)) / np.max(np.abs(dalpha))
+        res = {"curvature": curv, "holonomy A": hol[0], "holonomy B": hol[1]}
+        return float(max(res.values())), "worst: " + max(res, key=res.get)
+
     @check(desk(1), tolerance=1e-6)
     def shrinking_loop_order(self):
         p = (0.3, 0.6)

@@ -403,6 +403,25 @@ def test_pushforward_translation_fixes_flat(grid, flat):
     assert sup(gp.stack() - flat.stack()) <= 1e-11
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("amp", [0.02, 0.05])
+def test_shear_flow_and_pushforward_closed_forms(n, amp):
+    # psi = a sin(2 pi y) on the flat density gives X = (2 pi a cos(2 pi y), 0)
+    # (eps_12 = +1), so phi(x, y) = (x + t X1(y), y) exactly and J = D(phi^-1) =
+    # [[1, -t X1'(y)], [0, 1]].  J is not symmetric, so phi_* delta = J^T J tells
+    # J from its transpose, which det and Omega, pointwise SL(2) invariants, cannot
+    grid, t = tg.Grid(n), 0.1
+    flat = tg.flat_metric(grid)
+    psi = tg.field_from_function(grid, lambda x, y: amp * np.sin(2 * np.pi * y))
+    phi = tg.flow(tg.div_free_from_stream(psi, (0.0, 0.0), flat.volume), t, 5e-3)
+    x, y = grid.meshes()
+    assert sup(phi.forward - np.stack([x + t * 2 * np.pi * amp * np.cos(2 * np.pi * y), y])) <= 1e-14
+    one, shear = np.ones_like(y), 4 * np.pi**2 * amp * t * np.sin(2 * np.pi * y)  # -t X1'(y)
+    jac = np.array([[one, shear], [0 * one, one]])
+    want = np.einsum("kiab,kjab->ijab", jac, jac)
+    assert sup(tg.pushforward_metric(phi, flat).stack() - want) <= 1e-12
+
+
 def test_pushforward_certifies_compatibility_at_the_module_tolerance(grid, monkeypatch):
     vol = sampling.random_volume_form(grid, 313)
     X = tg.div_free_from_stream(sampling.random_stream(grid, 12), (0.2, -0.1), vol)

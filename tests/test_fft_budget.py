@@ -190,3 +190,20 @@ def test_frame_transport_transforms_only_the_metric(counter):
     bundles.frame_transport(g, bundles.Loop.square((0.37, 0.52), 0.4))
     assert "gamma" not in g._cache and "grad" not in g._cache
     assert (counter.fields("forward"), counter.fields("backward")) == (3, 0)
+
+
+def test_canonical_class_transforms_only_what_the_curvature_does(counter, monkeypatch):
+    # the generator holonomies are read off the Christoffel array the curvature
+    # cached, so the class adds no transform and builds no interpolator
+    grid = tg.Grid(64)
+    g = sampling.random_compatible_metric(grid, 81, volume=sampling.random_volume_form(grid, 80))
+    counter.reset()
+    riemann.scalar_curvature(_fresh(g))
+    curvature = (counter.fields("forward"), counter.fields("backward"))
+    built = []
+    real = bundles.Interpolator
+    monkeypatch.setattr(bundles, "Interpolator", lambda *a, **kw: built.append(1) or real(*a, **kw))
+    counter.reset()
+    bundles.canonical_class(_fresh(g))
+    assert (counter.fields("forward"), counter.fields("backward")) == curvature
+    assert not built

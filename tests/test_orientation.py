@@ -36,9 +36,15 @@ def test_both_orientations_give_the_same_verdicts(monkeypatch):
 
     assert shipped.keys() == flipped.keys()
     assert {k: r.passed for k, r in shipped.items()} == {k: r.passed for k, r in flipped.items()}
-    # X flips, so the flows run in reverse time: only their residuals move
+    # X flips, so the flows run in reverse time: only their residuals move,
+    # and class_log_derivative's at roundoff, because a holonomy angle is stored
+    # reduced into [0, 2 pi), which rounds theta and -theta differently, and
+    # the record differences it at eps = 1e-4
     moved = [k for k in shipped if not _same(shipped[k].residual, flipped[k].residual)]
-    assert all(k[0] == "flow-invariance" for k in moved), moved
+    wrapped = [k for k in moved if k[1] == "class_log_derivative"]
+    assert all(k[0] == "flow-invariance" or k in wrapped for k in moved), moved
+    assert all(abs(shipped[k].residual - flipped[k].residual) <= 1e-3 * shipped[k].tolerance
+               for k in wrapped)
 
 
 def _oriented_quantities(grid):

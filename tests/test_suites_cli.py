@@ -279,7 +279,7 @@ def test_declared_sweeps_equal_the_golden_records():
     ]
     golden = json.loads((Path(__file__).with_name("golden") / "verify_default.json").read_text())
     produced = {(r["suite"], r["name"], r["seed"], r["n"]) for r in golden["records"]}
-    assert len(declared) == len(set(declared)) == 381
+    assert len(declared) == len(set(declared)) == 384
     assert set(declared) == produced
     assert len({c.name for c in CHECKS}) == len(CHECKS)  # --record finds a check by name
 
@@ -319,7 +319,7 @@ def test_every_record_reruns_alone_to_the_full_run():
         {"grid_sizes": [64], "seeds": list(range(10)), "suites": ["lemma1", "lemma2", "momentum"]}
     )
     full = run_suites(config).records
-    assert len(full) == 84
+    assert len(full) == 87
     for rec in full:
         alone = run_record(config, rec.name, rec.seed, rec.n).records
         assert [(r.residual, r.note, r.tolerance) for r in alone] == [
@@ -333,7 +333,7 @@ def test_point_density_is_drawn_at_the_config_kmax():
     want = sampling.random_volume_form(Grid(16), 1 + 300, kmax=3)
     assert np.array_equal(vol.density.values, want.density.values)
     records = run_suites(config).records
-    assert len(records) == 127
+    assert len(records) == 130
     assert [f"{r.name}:{r.seed}" for r in records if "too large" in r.note] == []
 
 
@@ -439,7 +439,7 @@ def test_one_record_of_every_check_reruns_alone_to_the_full_run():
     first = {}
     for rec in full:
         first.setdefault(rec.name, rec)
-    assert len(full) == 136 and len(first) == len(CHECKS)
+    assert len(full) == 139 and len(first) == len(CHECKS)
     for rec in first.values():
         [alone] = run_record(config, rec.name, rec.seed, rec.n).records
         same_residual = alone.residual == rec.residual or math.isnan(alone.residual) and math.isnan(rec.residual)
